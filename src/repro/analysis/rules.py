@@ -693,8 +693,8 @@ def _is_engine_host(path: str) -> bool:
     "paper Sec. IV (one exactness contract per engine); PR 8 registry "
     "unification",
     packages=None,  # callers can live anywhere outside the hosts
-    example_bad='from repro.core.superacc import superacc_total\ntotal = superacc_total(xs, params)',
-    example_good='from repro.core import engines\ntotal = engines.scaled_total(xs, params, chunk, "superacc")',
+    example_bad='from repro.core.smallacc import smallacc_total\ntotal = smallacc_total(xs, params)',
+    example_good='from repro.core import engines\ntotal = engines.scaled_total(xs, params, chunk, "small")',
 )
 def check_engine_registry_bypass(module: ModuleSource) -> Iterator[Finding]:
     """Flag direct imports (and dotted references) of the per-engine
@@ -780,7 +780,7 @@ def _is_integer_dtype(expr: ast.AST) -> bool:
     "Hallman & Ipsen 2021 (a-priori bounds); PR 9 accuracy planner",
     packages=("core", "parallel", "apps"),
     example_bad="total = float(np.sum(xs))         # O(n*u) error, no bound\ntotal = sum(values)               # builtin float accumulation",
-    example_good='words = engines.batch_words(xs, params, chunk, True, "superacc")\ntotal = compensated_sum(xs, kernel="neumaier")  # bounded tier',
+    example_good='words = engines.batch_words(xs, params, chunk, True, "small")\ntotal = compensated_sum(xs, kernel="neumaier")  # bounded tier',
 )
 def check_unbounded_float_reduction(module: ModuleSource) -> Iterator[Finding]:
     """Flag ``np.sum`` / ``np.add.reduce`` / builtin ``sum()`` whose

@@ -3,20 +3,20 @@
 What it measures
 ----------------
 For every Table-1 configuration the matrix times one full batch
-reduction of the same ``n`` summands through every engine of
+reduction of the same ``n`` summands through the exact engines of
 :func:`repro.core.vectorized.batch_sum_doubles` (the
 :mod:`repro.core.engines` registry):
 
 ``words``
     the O(n * N) word-matrix path (convert every summand to N words,
-    fold the column sums);
-``superacc``
-    the exponent-binned superaccumulator fast path
-    (:mod:`repro.core.superacc`), timed on its default pure-NumPy
-    backend — "today's" baseline for the small-engine speedup;
+    fold the column sums) — the reference engine;
+``small`` on the ``pure`` backend
+    Neal's small superaccumulator (:mod:`repro.core.smallacc`) pinned
+    to its pure-NumPy inner loops — the machine-independent baseline
+    the speed gate is held to;
 ``small``
-    Neal's small superaccumulator (:mod:`repro.core.smallacc`) on its
-    default ``auto`` backend (compiled when available).
+    the same engine on its default ``auto`` backend (compiled when
+    available).
 
 Timing is best-of-``repeats`` wall time via ``time.perf_counter`` —
 best-of, not mean, because the regression question is "how fast can this
@@ -25,26 +25,26 @@ polluted by scheduler noise.
 
 What it checks
 --------------
-* all engines produce bit-identical HP words on every case;
+* every engine and backend produces bit-identical HP words on every
+  case;
 * at the headline configuration (the largest word count in the matrix,
-  N=8 by default) the superaccumulator AND small-engine words match the
-  scalar :class:`repro.core.accumulator.HPAccumulator` oracle across
-  several random permutations of the input and several chunk sizes —
-  the order-invariance contract, pinned against the slowest, most
-  literal implementation in the repo.  The small engine is checked on
-  *both* the pure-NumPy backend and the resolved compiled backend (when
-  one is available), so backend interchangeability is part of the gate;
-* the superaccumulator beats the words path at the headline
-  configuration by at least ``min_speedup``;
-* the small engine's speedup over the superaccumulator at the headline
-  is recorded against the ``small_target`` (10x): missing the target
-  does not fail the gate (container-dependent), but the honest measured
-  ratio and an explanatory note land in ``checks`` — the PR 4
-  waived-gate precedent.
+  N=8 by default) the small engine's words match the scalar
+  :class:`repro.core.accumulator.HPAccumulator` oracle across several
+  random permutations of the input and several chunk sizes — the
+  order-invariance contract, pinned against the slowest, most literal
+  implementation in the repo.  The engine is checked on *both* the
+  pure-NumPy backend and the resolved compiled backend (when one is
+  available), so backend interchangeability is part of the gate;
+* the small engine on the pure backend beats the words path at the
+  headline configuration by at least ``min_speedup``;
+* the compiled backend's speedup over the pure one at the headline is
+  recorded against the ``small_target`` (10x): missing the target does
+  not fail the gate (container-dependent), but the honest measured
+  ratio and an explanatory note land in ``checks``.
 
 * the compensated tiers (``comp-pairwise`` / ``comp-kahan`` /
-  ``comp-neumaier``, PR 9) are timed on the full batch and held to
-  *their* contract — realized error within the a-priori bound
+  ``comp-neumaier``) are timed on the full batch and held to *their*
+  contract — realized error within the a-priori bound
   (:mod:`repro.core.bounds`) and run-to-run bit determinism for the
   fixed input order — **not** to bit-identity (they are registered
   ``exact=False`` and the bit-identity gates skip them by
@@ -53,10 +53,10 @@ What it checks
   ``COMPENSATED_TARGET_SPEEDUP``; like the small engine's 10x, it is
   recorded, not gated.
 
-The report is schema-versioned (``repro.bench.regress/4``) so later PRs
-can extend it without breaking consumers; ``BENCH_<pr>.json`` files
-committed at the repo root form the performance trajectory across the
-PR stack.
+The report is schema-versioned (``repro.bench.regress/5``); the
+``BENCH_<pr>.json`` files committed at the repo root form the
+performance trajectory across the PR stack, and every earlier schema
+version still validates.
 """
 
 from __future__ import annotations
@@ -65,23 +65,19 @@ import platform
 import time
 from typing import Callable, Sequence
 
-SCHEMA = "repro.bench.regress/4"
+SCHEMA = "repro.bench.regress/5"
 
-#: Prior schema versions a report may still carry: /2 only *added* the
-#: optional ``phases`` block, /3 only added the small-engine columns
-#: (``small_*`` case keys, the ``small_oracle`` block, small checks),
-#: and /4 only added the ``compensated`` block and its checks, so
-#: earlier documents (the committed trajectory points) remain fully
-#: valid.
-ACCEPTED_SCHEMAS = (
-    "repro.bench.regress/1",
-    "repro.bench.regress/2",
-    "repro.bench.regress/3",
-    SCHEMA,
-)
+#: Every schema version a report may carry.  /2 added the optional
+#: ``phases`` block, /3 the small-engine columns, /4 the ``compensated``
+#: block; /5 replaced the retired superaccumulator columns
+#: (``superacc_seconds``, ``superacc_faster``, the separate
+#: ``small_oracle``) with the pure-backend small engine.  The committed
+#: trajectory points (/1, /3, /4) remain valid.
+ACCEPTED_SCHEMAS = tuple(f"repro.bench.regress/{v}" for v in range(1, 6))
 
-#: Headline speedup target for the small engine over the (pure) superacc
-#: baseline.  Recorded, not enforced: see the module docstring.
+#: Headline speedup target for the small engine's compiled backend over
+#: its pure-NumPy backend.  Recorded, not enforced: see the module
+#: docstring.
 SMALL_TARGET_SPEEDUP = 10.0
 
 #: Speedup target for the fastest bound-satisfying compensated tier
@@ -89,11 +85,11 @@ SMALL_TARGET_SPEEDUP = 10.0
 #: enforced (same precedent as :data:`SMALL_TARGET_SPEEDUP`).
 COMPENSATED_TARGET_SPEEDUP = 5.0
 
-#: The mass-relative accuracy target the compensated pass is held to —
-#: the PR 9 acceptance scenario (``repro sum --target-accuracy 1e-12``).
+#: The mass-relative accuracy target the compensated pass is held to
+#: (``repro sum --target-accuracy 1e-12``).
 COMPENSATED_TARGET_ACCURACY = 1e-12
 
-#: The inexact tiers the /4 compensated pass covers.
+#: The inexact tiers the compensated pass covers.
 COMPENSATED_TIERS = ("comp-pairwise", "comp-kahan", "comp-neumaier")
 
 #: matrix defaults, pinned so reports stay comparable across PRs
@@ -161,7 +157,7 @@ def run_regress(
     arms the accuracy-drift monitor for the run — every Table-1 case is
     shadow-summed and the monitor digest lands in the report under
     ``"drift"`` (outside the timed sections).  ``profile`` runs one
-    phase-attributed pass of the headline case through both engines
+    phase-attributed pass of the headline case through each engine
     *after* the timed sections and embeds the cost table under
     ``"phases"``, so a trajectory point carries attribution, not just
     totals.
@@ -172,10 +168,14 @@ def run_regress(
     from repro.core.params import TABLE1_CONFIGS, HPParams
     from repro.core.scalar import to_double
     from repro.core.smallacc import SmallAccumulator
-    from repro.core.superacc import SuperAccumulator
     from repro.core.vectorized import batch_sum_doubles
 
     xs = _make_summands(n, seed)
+
+    def small_words(params, backend):
+        engine = SmallAccumulator(params, backend=backend)
+        engine.absorb(xs)
+        return engine.to_words()
 
     drift_monitor = None
     if drift:
@@ -191,17 +191,14 @@ def run_regress(
     for n_words, k in TABLE1_CONFIGS:
         params = HPParams(n_words, k)
         words_result = batch_sum_doubles(xs, params, method="words")
-        superacc_result = batch_sum_doubles(xs, params, method="superacc")
+        pure_result = small_words(params, "pure")
         small_result = batch_sum_doubles(xs, params, method="small")
-        bit_identical = words_result == superacc_result
-        small_bit_identical = small_result == words_result
         words_s = _time_best(
             lambda p=params: batch_sum_doubles(xs, p, method="words"),
             repeats,
         )
-        superacc_s = _time_best(
-            lambda p=params: batch_sum_doubles(xs, p, method="superacc"),
-            repeats,
+        pure_s = _time_best(
+            lambda p=params: small_words(p, "pure"), repeats
         )
         small_s = _time_best(
             lambda p=params: batch_sum_doubles(xs, p, method="small"),
@@ -213,12 +210,12 @@ def run_regress(
             "params": str(params),
             "n": n,
             "words_seconds": words_s,
-            "superacc_seconds": superacc_s,
+            "pure_seconds": pure_s,
             "small_seconds": small_s,
-            "speedup": words_s / superacc_s if superacc_s > 0 else None,
-            "small_speedup": superacc_s / small_s if small_s > 0 else None,
-            "bit_identical": bool(bit_identical),
-            "small_bit_identical": bool(small_bit_identical),
+            "speedup": words_s / pure_s if pure_s > 0 else None,
+            "small_speedup": pure_s / small_s if small_s > 0 else None,
+            "bit_identical": bool(pure_result == words_result),
+            "small_bit_identical": bool(small_result == words_result),
         }
         cases.append(case)
         if drift_monitor is not None:
@@ -227,78 +224,51 @@ def run_regress(
             from repro.parallel.drivers import make_method
 
             drift_monitor.observe(
-                xs, to_double(superacc_result, params),
-                make_method("hp-superacc", params), "bench-regress",
+                xs, to_double(small_result, params),
+                make_method("hp-small", params), "bench-regress",
             )
         if headline is None or n_words > headline["n_words"]:
             headline = case
 
     oracle = None
-    small_oracle = None
     oracle_ok = True
-    small_oracle_ok = True
+    resolved = _native.backend_name()
     if not skip_oracle:
         params = HPParams(headline["n_words"], headline["k"])
         reference = _oracle_words(xs, params)
         rng = np.random.default_rng(seed + 1)
         trials = []
-        small_trials = []
-        # The small engine is oracle-checked on the pure backend and,
-        # when the resolution chain yields a compiled one, on that too —
-        # the same permutation/chunk grid for every backend.
-        small_backends = ["pure"]
-        resolved = _native.backend_name()
-        if resolved != "pure":
-            small_backends.append("auto")
+        # The engine is oracle-checked on the pure backend and, when
+        # the resolution chain yields a compiled one, on that too — the
+        # same permutation/chunk grid for every backend.
+        backends = ["pure"] if resolved == "pure" else ["pure", resolved]
         for p in range(permutations):
-            order = rng.permutation(n)
-            permuted = xs[order]
+            permuted = xs[rng.permutation(n)]
             for chunk in chunk_sizes:
-                engine = SuperAccumulator(params, chunk=int(chunk))
-                engine.absorb(permuted)
-                match = engine.to_words() == reference
-                trials.append(
-                    {
-                        "permutation": p,
-                        "chunk": int(chunk),
-                        "bit_identical": bool(match),
-                    }
-                )
-                oracle_ok = oracle_ok and match
-                for backend in small_backends:
-                    small = SmallAccumulator(
+                for backend in backends:
+                    engine = SmallAccumulator(
                         params, chunk=int(chunk), backend=backend
                     )
-                    small.absorb(permuted)
-                    small_match = small.to_words() == reference
-                    small_trials.append(
+                    engine.absorb(permuted)
+                    match = engine.to_words() == reference
+                    trials.append(
                         {
                             "permutation": p,
                             "chunk": int(chunk),
-                            "backend": small.backend,
-                            "bit_identical": bool(small_match),
+                            "backend": backend,
+                            "bit_identical": bool(match),
                         }
                     )
-                    small_oracle_ok = small_oracle_ok and small_match
+                    oracle_ok = oracle_ok and match
         oracle = {
             "params": str(params),
             "n": n,
             "permutations": permutations,
             "chunk_sizes": [int(c) for c in chunk_sizes],
+            "backends": backends,
+            "compiled_backend_available": resolved != "pure",
             "trials": trials,
             "bit_identical": bool(oracle_ok),
-        }
-        small_oracle = {
-            "params": str(params),
-            "n": n,
-            "permutations": permutations,
-            "chunk_sizes": [int(c) for c in chunk_sizes],
-            "backends": [
-                "pure" if b == "pure" else resolved for b in small_backends
-            ],
-            "compiled_backend_available": resolved != "pure",
-            "trials": small_trials,
-            "bit_identical": bool(small_oracle_ok),
         }
 
     compensated = _compensated_pass(xs, headline, repeats)
@@ -307,7 +277,7 @@ def run_regress(
     small_bit_identical_all = all(c["small_bit_identical"] for c in cases)
     speedup_headline = headline["speedup"]
     small_speedup_headline = headline["small_speedup"]
-    superacc_faster = (
+    pure_faster = (
         speedup_headline is not None and speedup_headline >= min_speedup
     )
     small_target_met = (
@@ -317,14 +287,13 @@ def run_regress(
     if small_target_met:
         small_target_note = None
     else:
-        # PR 4 precedent: record the honest measured ratio and say why
-        # the bar was not cleared on this machine, instead of failing a
+        # Record the honest measured ratio and say why the bar was not
+        # cleared on this machine, instead of failing a
         # container-dependent gate.
         small_target_note = (
             "small engine measured "
-            f"{small_speedup_headline:.2f}x over the pure-NumPy "
-            f"hp-superacc serial path on backend "
-            f"{_native.backend_name()!r}, below the "
+            f"{small_speedup_headline:.2f}x over its pure-NumPy backend "
+            f"on backend {resolved!r}, below the "
             f"{SMALL_TARGET_SPEEDUP:.0f}x target; ratio is "
             "machine/backend dependent (compiled backend unavailable or "
             "slow container) — recorded, not gated."
@@ -355,12 +324,11 @@ def run_regress(
         "bit_identical_all": bool(bit_identical_all),
         "oracle_bit_identical": bool(oracle_ok),
         "small_bit_identical_all": bool(small_bit_identical_all),
-        "small_oracle_bit_identical": bool(small_oracle_ok),
-        "small_backend": _native.backend_name(),
+        "small_backend": resolved,
         "headline_params": headline["params"],
         "speedup_headline": speedup_headline,
         "min_speedup": min_speedup,
-        "superacc_faster": bool(superacc_faster),
+        "pure_faster": bool(pure_faster),
         "small_speedup_headline": small_speedup_headline,
         "small_target": SMALL_TARGET_SPEEDUP,
         "small_target_met": bool(small_target_met),
@@ -374,9 +342,8 @@ def run_regress(
         "passed": bool(
             bit_identical_all
             and oracle_ok
-            and superacc_faster
+            and pure_faster
             and small_bit_identical_all
-            and small_oracle_ok
             and comp_within
             and comp_deterministic
         ),
@@ -399,7 +366,6 @@ def run_regress(
         },
         "cases": cases,
         "oracle": oracle,
-        "small_oracle": small_oracle,
         "compensated": compensated,
         "checks": checks,
     }
@@ -486,7 +452,7 @@ def _profile_pass(xs, headline: dict) -> dict:
 
     params = HPParams(headline["n_words"], headline["k"])
     engines: dict[str, dict] = {}
-    for engine in ("superacc", "small", "words"):
+    for engine in ("small", "words"):
         prior_spans = _tracing.TRACER.export()["spans"]
         _tracing.TRACER.reset()
         try:
@@ -506,37 +472,34 @@ def _profile_pass(xs, headline: dict) -> dict:
 
 
 _REQUIRED_TOP = ("schema", "environment", "config", "cases", "checks")
-_REQUIRED_CASE = (
+_BASE_CASE = (
     "n_words",
     "k",
     "params",
     "n",
     "words_seconds",
-    "superacc_seconds",
     "speedup",
     "bit_identical",
 )
-_REQUIRED_CHECKS = (
+_BASE_CHECKS = (
     "bit_identical_all",
     "oracle_bit_identical",
     "speedup_headline",
-    "superacc_faster",
     "passed",
 )
 
-#: Additional keys required from /3 reports (the small-engine columns).
-_REQUIRED_CASE_V3 = ("small_seconds", "small_speedup", "small_bit_identical")
-_REQUIRED_CHECKS_V3 = (
+#: Keys required from /3 on (the small-engine columns).
+_SMALL_CASE = ("small_seconds", "small_speedup", "small_bit_identical")
+_SMALL_CHECKS = (
     "small_bit_identical_all",
-    "small_oracle_bit_identical",
     "small_speedup_headline",
     "small_target",
     "small_target_met",
     "small_backend",
 )
 
-#: Additional keys required from /4 reports (the compensated tiers).
-_REQUIRED_CHECKS_V4 = (
+#: Keys required from /4 on (the compensated tiers).
+_COMPENSATED_CHECKS = (
     "compensated_within_bounds",
     "compensated_deterministic",
     "compensated_speedup_headline",
@@ -554,17 +517,38 @@ _REQUIRED_TIER = (
 )
 
 
+def _required_keys(version: int) -> tuple[tuple, tuple]:
+    """(case keys, check keys) a report of schema ``version`` carries."""
+    if version >= 5:
+        case = _BASE_CASE + ("pure_seconds",)
+        checks = _BASE_CHECKS + ("pure_faster",)
+    else:
+        case = _BASE_CASE + ("superacc_seconds",)
+        checks = _BASE_CHECKS + ("superacc_faster",)
+    if version >= 3:
+        case += _SMALL_CASE
+        checks += _SMALL_CHECKS
+    if version in (3, 4):
+        checks += ("small_oracle_bit_identical",)
+    if version >= 4:
+        checks += _COMPENSATED_CHECKS
+    return case, checks
+
+
 def validate_report(doc: dict) -> list[str]:
     """Structural validation of a regression report; returns problems
-    (empty list means the document conforms to :data:`SCHEMA`)."""
+    (empty list means the document conforms to its schema version)."""
     problems = []
     if not isinstance(doc, dict):
         return ["report is not a JSON object"]
-    if doc.get("schema") not in ACCEPTED_SCHEMAS:
+    schema = doc.get("schema")
+    if schema in ACCEPTED_SCHEMAS:
+        version = int(schema.rsplit("/", 1)[1])
+    else:
         problems.append(
-            f"schema is {doc.get('schema')!r}, expected one of "
-            f"{ACCEPTED_SCHEMAS!r}"
+            f"schema is {schema!r}, expected one of {ACCEPTED_SCHEMAS!r}"
         )
+        version = int(SCHEMA.rsplit("/", 1)[1])
     phases = doc.get("phases")
     if phases is not None:
         if not isinstance(phases, dict) or "engines" not in phases:
@@ -578,15 +562,7 @@ def validate_report(doc: dict) -> list[str]:
     for key in _REQUIRED_TOP:
         if key not in doc:
             problems.append(f"missing top-level key {key!r}")
-    schema = doc.get("schema")
-    is_v4 = schema == SCHEMA
-    is_v3 = is_v4 or schema == "repro.bench.regress/3"
-    case_keys = _REQUIRED_CASE + (_REQUIRED_CASE_V3 if is_v3 else ())
-    check_keys = (
-        _REQUIRED_CHECKS
-        + (_REQUIRED_CHECKS_V3 if is_v3 else ())
-        + (_REQUIRED_CHECKS_V4 if is_v4 else ())
-    )
+    case_keys, check_keys = _required_keys(version)
     for i, case in enumerate(doc.get("cases", [])):
         for key in case_keys:
             if key not in case:
@@ -596,15 +572,18 @@ def validate_report(doc: dict) -> list[str]:
         for key in check_keys:
             if key not in checks:
                 problems.append(f"checks missing key {key!r}")
-    small_oracle = doc.get("small_oracle")
-    if is_v3 and small_oracle is not None:
+    # /3 and /4 carried the small-engine trials in their own block; /5
+    # folds them into ``oracle``.
+    block = "oracle" if version >= 5 else "small_oracle"
+    trials = doc.get(block)
+    if version >= 3 and trials is not None:
         for key in ("backends", "trials", "bit_identical"):
-            if key not in small_oracle:
-                problems.append(f"small_oracle missing key {key!r}")
-    if is_v4:
+            if key not in trials:
+                problems.append(f"{block} missing key {key!r}")
+    if version >= 4:
         compensated = doc.get("compensated")
         if not isinstance(compensated, dict) or "tiers" not in compensated:
-            problems.append("/4 report missing the compensated block")
+            problems.append(f"/{version} report missing the compensated block")
         else:
             for name, tier in compensated["tiers"].items():
                 for key in _REQUIRED_TIER:
@@ -619,51 +598,35 @@ def format_summary(doc: dict) -> str:
     """Human-readable one-screen summary of a report."""
     lines = [f"bench regress (schema {doc['schema']})"]
     for case in doc["cases"]:
-        line = (
-            "  {params:<14} n={n}  words {w:8.1f} ms  superacc {s:8.1f} ms"
-            "  speedup {x:5.2f}x  {eq}".format(
+        lines.append(
+            "  {params:<14} n={n}  words {w:8.1f} ms  small/pure {p:8.1f} ms"
+            "  speedup {x:5.2f}x  | small {sm:8.1f} ms ({sx:5.2f}x vs "
+            "pure)  {eq}".format(
                 params=case["params"],
                 n=case["n"],
                 w=case["words_seconds"] * 1e3,
-                s=case["superacc_seconds"] * 1e3,
+                p=case["pure_seconds"] * 1e3,
                 x=case["speedup"] or 0.0,
-                eq="bit-identical" if case["bit_identical"] else "MISMATCH",
-            )
-        )
-        if "small_seconds" in case:
-            line += "  | small {sm:8.1f} ms ({sx:5.2f}x vs superacc, {eq})".format(
                 sm=case["small_seconds"] * 1e3,
                 sx=case["small_speedup"] or 0.0,
                 eq=(
                     "bit-identical"
-                    if case["small_bit_identical"]
-                    else "MISMATCH"
-                ),
-            )
-        lines.append(line)
-    oracle = doc.get("oracle")
-    if oracle:
-        lines.append(
-            "  oracle {params}: {t} permutation/chunk trials, {eq}".format(
-                params=oracle["params"],
-                t=len(oracle["trials"]),
-                eq=(
-                    "all bit-identical"
-                    if oracle["bit_identical"]
+                    if case["bit_identical"] and case["small_bit_identical"]
                     else "MISMATCH"
                 ),
             )
         )
-    small_oracle = doc.get("small_oracle")
-    if small_oracle:
+    oracle = doc.get("oracle")
+    if oracle:
         lines.append(
-            "  small oracle {params} [{be}]: {t} trials, {eq}".format(
-                params=small_oracle["params"],
-                be=",".join(small_oracle["backends"]),
-                t=len(small_oracle["trials"]),
+            "  oracle {params} [{be}]: {t} permutation/chunk trials, "
+            "{eq}".format(
+                params=oracle["params"],
+                be=",".join(oracle["backends"]),
+                t=len(oracle["trials"]),
                 eq=(
                     "all bit-identical"
-                    if small_oracle["bit_identical"]
+                    if oracle["bit_identical"]
                     else "MISMATCH"
                 ),
             )
@@ -713,7 +676,7 @@ def format_summary(doc: dict) -> str:
     )
     if "small_speedup_headline" in checks:
         lines.append(
-            "  small headline: {x:.2f}x vs superacc on backend {be} "
+            "  small headline: {x:.2f}x vs pure on backend {be} "
             "(target {t:.0f}x, {met})".format(
                 x=checks["small_speedup_headline"] or 0.0,
                 be=checks.get("small_backend", "?"),

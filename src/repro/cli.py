@@ -82,6 +82,18 @@ def _load_values(path: str) -> np.ndarray:
         )
 
 
+def _load_finite(path: str) -> np.ndarray:
+    """:func:`_load_values`, rejecting NaN/inf up front: every ``repro
+    sum`` path raises the engines' one domain error before it derives a
+    format or plans an engine."""
+    xs = _load_values(path)
+    if not np.isfinite(xs).all():
+        from repro.errors import ConversionOverflowError
+
+        raise ConversionOverflowError("input contains NaN or infinity")
+    return xs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -153,16 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument(
         "--words", action="store_true", help="also print the raw words"
     )
-    from repro.core.engines import names as _engine_names
+    from repro.core import engines as _engines
 
     p_sum.add_argument(
         "--engine",
-        choices=_engine_names(),
-        default="superacc",
+        choices=(*_engines.names(), *_engines.aliases()),
+        default="small",
         help="hp batch engine from the repro.core.engines registry: "
-        "exponent-binned superaccumulator (default), Neal small "
-        "superaccumulator with optional compiled backend ('small'), the "
-        "word-matrix path, or a bounded-error compensated tier "
+        "Neal small superaccumulator with optional compiled backend "
+        "('small', the default; 'superacc' is an alias), the "
+        "word-matrix reference path, or a bounded-error compensated tier "
         "('comp-pairwise'/'comp-kahan'/'comp-neumaier') — exact engines "
         "give bit-identical results; comp-* tiers promise an a-priori "
         "error bound instead",
@@ -276,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
         "scalar oracle across input permutations and chunk sizes.  "
         "--scaling runs the strong-scaling matrix from "
         "repro.bench.scaling: real wall-clock timings of the procs "
-        "substrate for double/hp/hp-superacc over p in {1,2,4,8}, "
+        "substrate for double/hp/hp-small over p in {1,2,4,8}, "
         "gated on bit-identity and a machine-aware minimum speedup.  "
         "Both write a schema-versioned BENCH_<pr>.json report; exit "
         "status is 0 only when every check passes.",
     )
     p_bench.add_argument(
         "--regress", action="store_true",
-        help="run the engine-regression matrix (superacc vs words)",
+        help="run the engine-regression matrix (small vs words)",
     )
     p_bench.add_argument(
         "--scaling", action="store_true",
@@ -304,10 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument(
         "--min-speedup", type=float, default=None,
-        help="regress: required headline superacc speedup over the words "
-        "path (default 1.0).  scaling: required procs speedup over serial "
-        "at the gate PE count (default: auto for this machine's core "
-        "count; 0 waives the gate, bit-identity still enforced)",
+        help="regress: required headline speedup of the pure-NumPy small "
+        "engine over the words path (default 1.0).  scaling: required "
+        "procs speedup over serial at the gate PE count (default: auto "
+        "for this machine's core count; 0 waives the gate, bit-identity "
+        "still enforced)",
     )
     p_bench.add_argument(
         "--skip-oracle", action="store_true",
@@ -356,9 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument(
         "--engine",
-        choices=("hp-superacc", "hp-small", "hp-words", "hallberg", "double"),
-        default="hp-superacc",
-        help="reduction engine to profile (default hp-superacc)",
+        choices=("hp-small", "hp-superacc", "hp-words", "hallberg", "double"),
+        default="hp-small",
+        help="reduction engine to profile (default hp-small; hp-superacc "
+        "is an alias)",
     )
     p_prof.add_argument("--n", type=int, default=1 << 20,
                         help="summand count (default 1M)")
@@ -437,8 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0: serve only)",
     )
     p_serve.add_argument(
-        "--method", choices=("hp", "hp-superacc", "hallberg", "double"),
-        default="hp-superacc", help="workload method (default hp-superacc)",
+        "--method",
+        choices=("hp", "hp-small", "hp-superacc", "hallberg", "double"),
+        default="hp-small", help="workload method (default hp-small; "
+        "hp-superacc is an alias)",
     )
     p_serve.add_argument(
         "--substrate", choices=("serial", "threads", "procs"),
@@ -667,7 +683,7 @@ def _cmd_sum_substrate(args, xs=None, decision=None) -> int:
     kwargs = {}
     if args.substrate == "procs" and args.start_method:
         kwargs["start_method"] = args.start_method
-    values = xs if xs is not None else _load_values(args.input)
+    values = xs if xs is not None else _load_finite(args.input)
     result = global_sum(
         values, method=method, substrate=args.substrate,
         pes=args.pes, params=params, **kwargs,
@@ -713,7 +729,7 @@ def _cmd_sum_planned(args) -> int:
             file=sys.stderr,
         )
         return 2
-    xs = _load_values(args.input)
+    xs = _load_finite(args.input)
     if args.substrate is not None:
         from repro.observability import tracing as _tracing
 
@@ -758,7 +774,7 @@ def _cmd_sum(args) -> int:
     from repro.summation.compensated import kahan_sum
     from repro.summation.naive import naive_sum
 
-    xs = _load_values(args.input)
+    xs = _load_finite(args.input)
     if args.method == "double":
         print(repr(float(naive_sum(xs))))
         return 0
@@ -1411,10 +1427,7 @@ def _profile_workload(args):
     if args.substrate != "serial":
         from repro.parallel.drivers import make_method
 
-        name = {"hp-words": "hp", "double": "double",
-                "hallberg": "hallberg",
-                "hp-superacc": "hp-superacc",
-                "hp-small": "hp-small"}[args.engine]
+        name = "hp" if args.engine == "hp-words" else args.engine
         params = None
         if args.params is not None and args.engine != "double":
             params = (HallbergParams(*args.params)
@@ -1440,8 +1453,8 @@ def _profile_workload(args):
               else HallbergParams(10, 38))
         return xs, lambda: hb_to_double(hb_batch_sum_doubles(xs, hb), hb)
     hp = HPParams(*args.params) if args.params else HPParams(6, 3)
-    # hp-superacc/hp-small map to their registry engines; hp-words is
-    # the word-matrix reference path.
+    # hp-small (and its hp-superacc alias) maps to the small engine;
+    # hp-words is the word-matrix reference path.
     from repro.core.engines import engine_for_adapter
 
     method = engine_for_adapter(args.engine) or "words"
@@ -1470,8 +1483,8 @@ def _cmd_profile_calibrate(args) -> int:
     hb = HallbergParams(10, 38)
     measured = {
         "double": _time_best(lambda: float(np.sum(xs)), args.repeats),
-        "hp-superacc": _time_best(
-            lambda: batch_sum_doubles(xs, hp, method="superacc"),
+        "hp-small": _time_best(
+            lambda: batch_sum_doubles(xs, hp, method="small"),
             args.repeats,
         ),
         "hallberg": _time_best(
@@ -1527,22 +1540,26 @@ def _cmd_profile(args) -> int:
                 sampler.stop()
     report = prof.ProfileReport.from_tracer()
 
+    # With --json, stdout carries the document alone.
+    notes = sys.stderr if args.json else sys.stdout
     if args.flamegraph:
         with open(args.flamegraph, "w", encoding="utf-8") as fh:
             fh.write(sampler.collapsed() if sampler else "")
-        print(f"flamegraph collapsed stacks written to {args.flamegraph}")
+        print(f"flamegraph collapsed stacks written to {args.flamegraph}",
+              file=notes)
     if args.speedscope:
         doc = (sampler.speedscope(f"repro profile {args.engine}")
                if sampler else prof.speedscope_document({}))
         with open(args.speedscope, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        print(f"speedscope profile written to {args.speedscope}")
+        print(f"speedscope profile written to {args.speedscope}",
+              file=notes)
     if args.perfetto:
         with open(args.perfetto, "w", encoding="utf-8") as fh:
             json.dump(prof.chrome_trace_with_phases(), fh, indent=2)
             fh.write("\n")
-        print(f"perfetto trace written to {args.perfetto}")
+        print(f"perfetto trace written to {args.perfetto}", file=notes)
 
     if args.json:
         doc = report.to_dict()

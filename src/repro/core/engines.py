@@ -16,16 +16,18 @@ never pays for engines the process doesn't use.
 
 Registered engines
 ------------------
-``superacc``
-    Exponent-binned superaccumulator with big-integer folds
-    (:mod:`repro.core.superacc`) — PR 3's fast path.
-``small`` (alias ``smallacc``)
+``small`` (aliases ``smallacc``, ``superacc``; adapter ``hp-small``,
+alias ``hp-superacc``)
     Neal-style small superaccumulator with in-place deferred carry
     propagation and an optional compiled backend
-    (:mod:`repro.core.smallacc`).
+    (:mod:`repro.core.smallacc`) — the one fast exact engine and the
+    default everywhere.  The ``superacc`` names belonged to an earlier
+    exponent-binned engine with big-integer folds; they stay as aliases
+    so scripts and old reports still resolve.
 ``words``
     The original word-matrix reference engine
-    (:mod:`repro.core.vectorized`), ``O(n*N)`` work.
+    (:mod:`repro.core.vectorized`), ``O(n*N)`` work — the paper's
+    representation and the oracle.
 ``comp-pairwise`` (alias ``pairwise``), ``comp-kahan``, ``comp-neumaier``
     The compensated tiers (:mod:`repro.core.compensated`): cheap,
     bounded-error float64 kernels the accuracy planner
@@ -66,6 +68,7 @@ __all__ = [
     "EngineSpec",
     "adapter_factory",
     "adapter_names",
+    "aliases",
     "batch_words",
     "engine_for_adapter",
     "exact_names",
@@ -105,6 +108,9 @@ class EngineSpec:
         :attr:`order_invariant` properties are the supported way to ask.
     aliases:
         Extra names :func:`get` resolves to this spec.
+    adapter_aliases:
+        Extra parallel method names :func:`adapter_factory` resolves to
+        :attr:`make_adapter`.
     float_total:
         ``(xs, chunk) -> float`` — the inexact engines' batch kernel.
         ``None`` for exact engines.
@@ -122,6 +128,7 @@ class EngineSpec:
     make_adapter: Callable[..., object]
     capabilities: frozenset = field(default_factory=frozenset)
     aliases: tuple = ()
+    adapter_aliases: tuple = ()
     float_total: Callable[[np.ndarray, int], float] | None = None
     bound_model: str = "exact"
 
@@ -177,6 +184,11 @@ def names() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
+def aliases() -> tuple[str, ...]:
+    """Every alias :func:`get` also resolves (CLI choice lists)."""
+    return tuple(_ALIASES)
+
+
 def exact_names() -> tuple[str, ...]:
     """Canonical names of the exact engines only — the set bit-identity
     gates (bench oracle matrix, cross-substrate comparisons) iterate."""
@@ -192,22 +204,25 @@ def adapter_names() -> tuple[str, ...]:
     return tuple(spec.adapter_name for spec in _REGISTRY.values())
 
 
-def adapter_factory(method_name: str):
-    """The adapter factory for a parallel method name, or ``None`` —
-    :func:`repro.parallel.drivers.make_method` resolves engine-backed
-    methods here instead of growing its own ladder."""
+def _spec_for_adapter(method_name: str) -> EngineSpec | None:
     for spec in _REGISTRY.values():
-        if spec.adapter_name == method_name:
-            return spec.make_adapter
+        if method_name in (spec.adapter_name, *spec.adapter_aliases):
+            return spec
     return None
+
+
+def adapter_factory(method_name: str):
+    """The adapter factory for a parallel method name or alias, or
+    ``None`` — :func:`repro.parallel.drivers.make_method` resolves
+    engine-backed methods here instead of growing its own ladder."""
+    spec = _spec_for_adapter(method_name)
+    return spec.make_adapter if spec is not None else None
 
 
 def engine_for_adapter(method_name: str) -> str | None:
     """Canonical engine name behind a parallel method name, if any."""
-    for spec in _REGISTRY.values():
-        if spec.adapter_name == method_name:
-            return spec.name
-    return None
+    spec = _spec_for_adapter(method_name)
+    return spec.name if spec is not None else None
 
 
 def scaled_total(
@@ -255,18 +270,6 @@ def batch_words(
 # ---------------------------------------------------------------------------
 
 
-def _superacc_total(xs, params, chunk):
-    from repro.core.superacc import superacc_total
-
-    return superacc_total(xs, params, chunk=chunk)
-
-
-def _superacc_adapter(params, chunk=1 << 20):
-    from repro.parallel.methods import HPSuperaccMethod
-
-    return HPSuperaccMethod(params, chunk=chunk)
-
-
 def _small_total(xs, params, chunk):
     from repro.core.smallacc import smallacc_total
 
@@ -293,22 +296,6 @@ def _words_adapter(params, chunk=1 << 20):
 
 register(
     EngineSpec(
-        name="superacc",
-        summary=(
-            "exponent-binned superaccumulator, big-int folds "
-            "(repro.core.superacc)"
-        ),
-        scaled_total=_superacc_total,
-        adapter_name="hp-superacc",
-        make_adapter=_superacc_adapter,
-        capabilities=frozenset(
-            {"exact", "order-invariant", "mergeable-partials", "gpu"}
-        ),
-    )
-)
-
-register(
-    EngineSpec(
         name="small",
         summary=(
             "Neal small superaccumulator, deferred in-place carries, "
@@ -323,9 +310,11 @@ register(
                 "order-invariant",
                 "mergeable-partials",
                 "compiled-backend",
+                "gpu",
             }
         ),
-        aliases=("smallacc",),
+        aliases=("smallacc", "superacc"),
+        adapter_aliases=("hp-superacc",),
     )
 )
 

@@ -1,26 +1,22 @@
 """Optional compiled backend for the accumulation inner loops.
 
-The superaccumulator engines (:mod:`repro.core.superacc`,
-:mod:`repro.core.smallacc`) spend essentially all of their time in three
-tiny integer loops: scatter a mantissa's 32-bit limbs into exponent-
-indexed ``int64`` slots, and ripple deferred carries between slots.
-NumPy executes those loops through ``np.add.at`` — deterministic, but a
-dispatch-heavy scalar fallback inside NumPy.  This module compiles the
-same loops to machine code when the environment allows it, with a
-three-step fallback chain:
+The small superaccumulator (:mod:`repro.core.smallacc`) spends
+essentially all of its time in two tiny integer loops: scatter a
+mantissa's 32-bit limbs into exponent-indexed ``int64`` slots, and
+ripple deferred carries between slots.  NumPy executes those loops
+through ``np.add.at`` — deterministic, but a dispatch-heavy scalar
+fallback inside NumPy.  This module compiles the same loops to machine
+code when the environment allows it, with a two-step fallback chain:
 
-``numba``
-    If :mod:`numba` is importable, the kernels are ``@njit``-compiled
-    from the pure-Python integer specification below.
 ``cext``
-    Otherwise, a small self-contained C translation unit (embedded in
-    this file, no build system needed) is compiled best-effort with the
-    system C compiler into a cached shared object and loaded through
+    A small self-contained C translation unit (embedded in this file,
+    no build system needed) is compiled best-effort with the system C
+    compiler into a cached shared object and loaded through
     :mod:`ctypes`.  The first build happens at install/first use; later
     processes reuse the cached ``.so`` keyed by a hash of the source.
 ``pure``
-    If neither is available — or ``REPRO_FORCE_PURE=1`` is set — the
-    engines keep their pure-NumPy paths.  Nothing is lost but speed.
+    If no compiler is available — or ``REPRO_FORCE_PURE=1`` is set —
+    the engine keeps its pure-NumPy path.  Nothing is lost but speed.
 
 **Bit-identity contract.**  Every backend implements the *same* exact
 integer arithmetic: the scatter decomposition reproduces ``frexp``
@@ -36,9 +32,9 @@ The selected backend is introspectable via :func:`backend_info` /
 Environment knobs
 -----------------
 ``REPRO_FORCE_PURE=1``
-    Skip every compiled backend (CI uses this for the pure leg of the
+    Skip the compiled backend (CI uses this for the pure leg of the
     backend matrix).
-``REPRO_NATIVE=auto|numba|cext|pure``
+``REPRO_NATIVE=auto|cext|pure``
     Pin the resolution order's answer (``auto`` is the default chain).
 ``REPRO_NATIVE_CACHE=DIR``
     Directory for the compiled shared object (default: a content-keyed
@@ -92,9 +88,6 @@ class KernelSet:
       internal carry propagation every :data:`SMALL_PROPAGATE_LIMIT`
       adds and a final canonicalizing pass, so the array returns fully
       propagated.
-    * ``superacc_scatter(xs, frac_bits, bins)`` — three-limb scatter,
-      bit-identical to :func:`repro.core.superacc._scatter_chunk`; no
-      internal propagation (the caller's FOLD_LIMIT accounting governs).
     * ``propagate(chunks)`` — one full sequential carry sweep leaving
       the canonical decomposition (non-negative 32-bit low windows,
       signed top chunk).
@@ -109,7 +102,6 @@ class KernelSet:
 
     name: str
     smallacc_scatter: Callable | None
-    superacc_scatter: Callable | None
     propagate: Callable | None
     neumaier_partial: Callable | None = None
 
@@ -119,7 +111,7 @@ class KernelSet:
 
 
 #: The pure backend: engines use their own NumPy loops.
-PURE = KernelSet("pure", None, None, None)
+PURE = KernelSet("pure", None, None)
 
 _LOCK = threading.Lock()
 _RESOLVED: dict[str, KernelSet] = {}
@@ -225,39 +217,6 @@ void repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
     repro_smallacc_propagate(chunks, nchunks);
 }
 
-/* Three-limb scatter, bit-identical to superacc._scatter_chunk: the
-   32-bit mantissa halves are shifted by sub and split into three limbs
-   with weights 2**(32*idx..32*(idx+2)).  No internal propagation: the
-   caller's FOLD_LIMIT accounting provides the headroom proof. */
-void repro_superacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
-                            int64_t *bins) {
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        double x = xs[i];
-        int64_t e, mant, t, idx, sub, sign;
-        uint64_t m, lo_sh, hi_sh;
-        mant = repro_decompose(x, &e);
-        t = e - 53 + frac_bits;
-        if (t < 0) {
-            int64_t down = -t;
-            if (down > 63) down = 63;
-            mant >>= down;
-            t = 0;
-        }
-        if (mant == 0) continue;
-        idx = t >> 5;
-        sub = t & 31;
-        m = (uint64_t)mant;
-        lo_sh = (m & 0xFFFFFFFFULL) << sub;     /* < 2**63 */
-        hi_sh = (m >> 32) << sub;               /* < 2**52 */
-        sign = (x < 0.0) ? -1 : 1;
-        bins[idx]     += sign * (int64_t)(lo_sh & 0xFFFFFFFFULL);
-        bins[idx + 1] += sign * (int64_t)((lo_sh >> 32)
-                                          + (hi_sh & 0xFFFFFFFFULL));
-        bins[idx + 2] += sign * (int64_t)(hi_sh >> 32);
-    }
-}
-
 /* Sequential Neumaier (1974) compensated sum with a running max|x_i|:
    out[0] = running total, out[1] = pending compensation (to be *added*
    at finalization), out[2] = max|x_i|.  The branch credits the rounding
@@ -335,8 +294,6 @@ def _build_cext() -> KernelSet:
     p_i64 = ctypes.POINTER(c_i64)
     lib.repro_smallacc_scatter.argtypes = [p_f64, c_i64, c_i64, p_i64, c_i64]
     lib.repro_smallacc_scatter.restype = None
-    lib.repro_superacc_scatter.argtypes = [p_f64, c_i64, c_i64, p_i64]
-    lib.repro_superacc_scatter.restype = None
     lib.repro_smallacc_propagate.argtypes = [p_i64, c_i64]
     lib.repro_smallacc_propagate.restype = None
     lib.repro_neumaier_partial.argtypes = [p_f64, c_i64, p_f64]
@@ -346,12 +303,6 @@ def _build_cext() -> KernelSet:
         lib.repro_smallacc_scatter(
             xs.ctypes.data_as(p_f64), xs.shape[0], frac_bits,
             chunks.ctypes.data_as(p_i64), chunks.shape[0],
-        )
-
-    def superacc_scatter(xs, frac_bits: int, bins) -> None:
-        lib.repro_superacc_scatter(
-            xs.ctypes.data_as(p_f64), xs.shape[0], frac_bits,
-            bins.ctypes.data_as(p_i64),
         )
 
     def propagate(chunks) -> None:
@@ -366,179 +317,21 @@ def _build_cext() -> KernelSet:
         )
         return (out[0], out[1], out[2])
 
-    return KernelSet(
-        "cext", smallacc_scatter, superacc_scatter, propagate,
-        neumaier_partial,
-    )
-
-
-# ---------------------------------------------------------------------------
-# numba backend: the same integer kernels, JIT-compiled from Python
-# ---------------------------------------------------------------------------
-
-
-def _build_numba() -> KernelSet:
-    try:
-        import numba
-    except ImportError as exc:
-        raise NativeUnavailableError("numba is not importable") from exc
-    import numpy as np
-
-    # The kernels consume the raw IEEE-754 bit patterns (a uint64 view of
-    # the float64 array) so the decomposition is pure integer code —
-    # identical math to the C translation unit above.
-    @numba.njit(cache=False)
-    def _propagate(chunks):  # pragma: no cover - requires numba
-        carry = np.int64(0)
-        for i in range(chunks.shape[0] - 1):
-            v = chunks[i] + carry
-            chunks[i] = v & np.int64(0xFFFFFFFF)
-            carry = v >> np.int64(32)
-        chunks[chunks.shape[0] - 1] += carry
-
-    @numba.njit(cache=False)
-    def _small_scatter(bits, frac_bits, chunks):  # pragma: no cover
-        since = 0
-        for i in range(bits.shape[0]):
-            u = bits[i]
-            neg = (u >> np.uint64(63)) != np.uint64(0)
-            u = u & np.uint64(0x7FFFFFFFFFFFFFFF)
-            if u == np.uint64(0):
-                continue
-            biased = np.int64(u >> np.uint64(52))
-            frac = u & np.uint64(0xFFFFFFFFFFFFF)
-            if biased != 0:
-                e = biased - 1022
-                mant = np.int64(frac | np.uint64(1 << 52))
-            else:
-                z = 0
-                while (frac & np.uint64(1 << 52)) == np.uint64(0):
-                    frac = frac << np.uint64(1)
-                    z += 1
-                e = -1021 - z
-                mant = np.int64(frac)
-            t = e - 53 + frac_bits
-            if t < 0:
-                down = min(-t, 63)
-                mant = mant >> np.int64(down)
-                if mant == 0:
-                    continue
-                t = 0
-            idx = t >> 5
-            sub = np.uint64(t & 31)
-            lo = (np.uint64(mant) << sub) & np.uint64(0xFFFFFFFF)
-            hi = np.uint64(mant) >> (np.uint64(32) - sub)
-            sign = np.int64(-1) if neg else np.int64(1)
-            chunks[idx] += sign * np.int64(lo)
-            chunks[idx + 1] += sign * np.int64(hi)
-            since += 1
-            if since >= 2046:  # SMALL_PROPAGATE_LIMIT
-                _propagate(chunks)
-                since = 0
-        _propagate(chunks)
-
-    @numba.njit(cache=False)
-    def _super_scatter(bits, frac_bits, bins):  # pragma: no cover
-        for i in range(bits.shape[0]):
-            u = bits[i]
-            neg = (u >> np.uint64(63)) != np.uint64(0)
-            u = u & np.uint64(0x7FFFFFFFFFFFFFFF)
-            if u == np.uint64(0):
-                continue
-            biased = np.int64(u >> np.uint64(52))
-            frac = u & np.uint64(0xFFFFFFFFFFFFF)
-            if biased != 0:
-                e = biased - 1022
-                mant = np.int64(frac | np.uint64(1 << 52))
-            else:
-                z = 0
-                while (frac & np.uint64(1 << 52)) == np.uint64(0):
-                    frac = frac << np.uint64(1)
-                    z += 1
-                e = -1021 - z
-                mant = np.int64(frac)
-            t = e - 53 + frac_bits
-            if t < 0:
-                down = min(-t, 63)
-                mant = mant >> np.int64(down)
-                t = 0
-            if mant == 0:
-                continue
-            idx = t >> 5
-            sub = np.uint64(t & 31)
-            m = np.uint64(mant)
-            lo_sh = (m & np.uint64(0xFFFFFFFF)) << sub
-            hi_sh = (m >> np.uint64(32)) << sub
-            sign = np.int64(-1) if neg else np.int64(1)
-            bins[idx] += sign * np.int64(lo_sh & np.uint64(0xFFFFFFFF))
-            bins[idx + 1] += sign * np.int64(
-                (lo_sh >> np.uint64(32)) + (hi_sh & np.uint64(0xFFFFFFFF))
-            )
-            bins[idx + 2] += sign * np.int64(hi_sh >> np.uint64(32))
-
-    @numba.njit(cache=False)
-    def _neumaier(xs, out):  # pragma: no cover - requires numba
-        total = 0.0
-        comp = 0.0
-        max_abs = 0.0
-        for i in range(xs.shape[0]):
-            x = xs[i]
-            ax = -x if x < 0.0 else x
-            at = -total if total < 0.0 else total
-            t = total + x
-            if at >= ax:
-                comp += (total - t) + x
-            else:
-                comp += (x - t) + total
-            total = t
-            if ax > max_abs:
-                max_abs = ax
-        out[0] = total
-        out[1] = comp
-        out[2] = max_abs
-
-    def smallacc_scatter(xs, frac_bits: int, chunks) -> None:
-        _small_scatter(xs.view(np.uint64), frac_bits, chunks)
-
-    def superacc_scatter(xs, frac_bits: int, bins) -> None:
-        _super_scatter(xs.view(np.uint64), frac_bits, bins)
-
-    def propagate(chunks) -> None:
-        _propagate(chunks)
-
-    def neumaier_partial(xs) -> tuple:
-        out = np.zeros(3, dtype=np.float64)
-        _neumaier(xs, out)
-        total, err, max_abs = out.tolist()
-        return (total, err, max_abs)
-
-    # Trigger compilation now so resolution fails fast (and once) if the
-    # installed numba cannot handle the kernels.
-    probe = np.array([1.0, -2.5, 5e-324], dtype=np.float64)
-    state = np.zeros(8, dtype=np.int64)
-    smallacc_scatter(probe, 32, state)
-    neumaier_partial(probe)
-    return KernelSet(
-        "numba", smallacc_scatter, superacc_scatter, propagate,
-        neumaier_partial,
-    )
+    return KernelSet("cext", smallacc_scatter, propagate, neumaier_partial)
 
 
 # ---------------------------------------------------------------------------
 # resolution
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {"numba": _build_numba, "cext": _build_cext}
-
-
 def resolve(backend: str = "auto") -> KernelSet:
     """Resolve a backend name to a :class:`KernelSet`.
 
-    ``auto`` walks the chain numba -> cext -> pure, honoring
-    ``REPRO_FORCE_PURE`` / ``REPRO_NATIVE``; failures along the chain
-    degrade silently (recorded in :func:`backend_info`).  Explicit
-    ``numba`` / ``cext`` raise :class:`NativeUnavailableError` when the
-    backend cannot be provided; explicit ``pure`` always succeeds.
+    ``auto`` walks the chain cext -> pure, honoring
+    ``REPRO_FORCE_PURE`` / ``REPRO_NATIVE``; a failed build degrades
+    silently (recorded in :func:`backend_info`).  Explicit ``cext``
+    raises :class:`NativeUnavailableError` when the backend cannot be
+    provided; explicit ``pure`` always succeeds.
     """
     if backend == "auto":
         env = os.environ.get("REPRO_NATIVE", "").strip().lower()
@@ -546,33 +339,24 @@ def resolve(backend: str = "auto") -> KernelSet:
             backend = env
     if backend == "pure" or (backend == "auto" and force_pure()):
         return PURE
+    if backend not in ("auto", "cext"):
+        raise ValueError(f"unknown backend {backend!r}; pick auto/cext/pure")
     with _LOCK:
         if backend in _RESOLVED:
             return _RESOLVED[backend]
-        if backend == "auto":
-            for name in ("numba", "cext"):
-                try:
-                    kern = _RESOLVED.get(name) or _BUILDERS[name]()
-                    _RESOLVED[name] = kern
-                    _RESOLVED["auto"] = kern
-                    return kern
-                except Exception as exc:
-                    _BUILD_ERRORS[name] = f"{type(exc).__name__}: {exc}"
-            _RESOLVED["auto"] = PURE
-            return PURE
-        if backend not in _BUILDERS:
-            raise ValueError(
-                f"unknown backend {backend!r}; pick auto/numba/cext/pure"
-            )
         try:
-            kern = _BUILDERS[backend]()
-        except NativeUnavailableError:
-            raise
+            kern = _build_cext()
         except Exception as exc:
+            if backend == "auto":
+                _BUILD_ERRORS["cext"] = f"{type(exc).__name__}: {exc}"
+                _RESOLVED["auto"] = PURE
+                return PURE
+            if isinstance(exc, NativeUnavailableError):
+                raise
             raise NativeUnavailableError(
-                f"{backend} backend failed: {exc}"
+                f"cext backend failed: {exc}"
             ) from exc
-        _RESOLVED[backend] = kern
+        _RESOLVED["cext"] = _RESOLVED["auto"] = kern
         return kern
 
 

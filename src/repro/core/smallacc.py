@@ -1,27 +1,21 @@
 """Neal's small superaccumulator: deferred-carry exact summation.
 
-:mod:`repro.core.superacc` already scatters mantissa limbs into
-exponent-indexed ``int64`` bins, but it periodically *folds* the whole
-bin array into a Python big integer to reclaim overflow headroom — a
-pass through arbitrary-precision arithmetic on the hot path, and a
-partial (bins + bigint carry) that is only mergeable after re-expansion.
-Neal, *Fast exact summation using small and large superaccumulators*
-(arXiv:1505.05571, Sec. 3), shows the fold is unnecessary: leave enough
-headroom bits in each 64-bit chunk that carries can ride along unsealed,
-and **propagate** them in place — chunk ``i`` keeps its low 32-bit
-window, the signed high part moves up to chunk ``i+1`` — only once every
-few thousand (compiled path) to ~10^9 (NumPy path) adds.  The whole
-accumulator state is then *one flat ``int64`` array*, so partials merge
+The repo's one fast exact batch engine.  Neal, *Fast exact summation
+using small and large superaccumulators* (arXiv:1505.05571, Sec. 3),
+scatters mantissa limbs into exponent-indexed ``int64`` chunks and
+leaves enough headroom bits in each 64-bit chunk that carries can ride
+along unsealed: they are **propagated** in place — chunk ``i`` keeps its
+low 32-bit window, the signed high part moves up to chunk ``i+1`` — only
+once every few thousand (compiled path) to ~10^9 (NumPy path) adds.  The
+whole accumulator state is *one flat ``int64`` array*, so partials merge
 by elementwise addition with no big-integer round-trip, and the engine
 maps directly onto a compiled inner loop (:mod:`repro.core.native`).
 
 Chunk layout
 ------------
-Chunk geometry is **identical** to the superaccumulator's bins — chunk
-``i`` carries weight ``2**(32*i)``, sized by
-:func:`repro.core.superacc.bin_count` — so both engines decompose the
-same exact scaled-integer total and are bit-identical at the word level
-by construction::
+Chunk ``i`` carries weight ``2**(32*i)``; the count comes from
+:func:`repro.core.superacc.bin_count`, which sizes the array for every
+in-range double of the format::
 
     chunk:   [ 0 ] [ 1 ] [ 2 ] ... [ nchunks-1 ]
     weight:  2^0   2^32  2^64      2^(32*(nchunks-1))
@@ -46,18 +40,18 @@ every non-top chunk to roughly one window's magnitude:
   after a propagation residue (< ``2**33``) plus ``P`` adds every
   ``|chunk| < 2**33 + P * 2**52``, which stays below ``2**63`` for
   ``P <= 2046`` (:data:`repro.core.native.SMALL_PROPAGATE_LIMIT`).
-* **Three-limb path** (the vectorized NumPy scatter, shared verbatim
-  with superacc): addends stay below ``2**33``, so the same slot-wise
-  argument allows ``P`` up to ``2**30`` — :data:`PROPAGATE_LIMIT` of
-  ``2**30 - 2`` *units*, where one unit is a ``2**33`` magnitude bound
-  and a freshly propagated array counts as one unit of residue.
+* **Three-limb path** (the vectorized NumPy scatter
+  :func:`repro.core.superacc._scatter_chunk`): addends stay below
+  ``2**33``, so the same slot-wise argument allows ``P`` up to
+  ``2**30`` — :data:`PROPAGATE_LIMIT` of ``2**30 - 2`` *units*, where
+  one unit is a ``2**33`` magnitude bound and a freshly propagated
+  array counts as one unit of residue.
 
 Both paths land on the same chunk totals; the propagation pass is pure
 integer rearrangement and never changes the represented value.  The top
 chunk absorbs signed overflow permanently; with range-checked inputs its
 magnitude stays below ``count * 2**20`` (value bound over top-chunk
-weight), so the engine is exact to beyond ``2**40`` absorbed summands —
-far past the ``FOLD_LIMIT`` economics this replaces.
+weight), so the engine is exact to beyond ``2**40`` absorbed summands.
 
 Merging adds chunk arrays elementwise and sums the unit accounts,
 propagating first when the combined account would exceed the limit:
@@ -67,7 +61,7 @@ Sec. III.B.3 order-invariance argument needs.
 Backend
 -------
 ``backend="auto"`` (default) uses :mod:`repro.core.native`'s resolution
-chain (numba → C-extension → pure NumPy) for the scatter/propagate inner
+chain (C extension → pure NumPy) for the scatter/propagate inner
 loops; ``backend="pure"`` pins the NumPy path.  All backends are
 bit-identical (gated by ``repro bench --regress``); the active choice is
 published as the ``smallacc.backend`` gauge and shown by ``repro
@@ -120,7 +114,7 @@ _NATIVE_PENDING_LIMIT = 1 << 19
 _S32 = np.int64(BIN_BITS)
 _SMASK32 = np.int64(MASK32)
 
-#: Alias: the chunk array uses the superaccumulator's bin geometry.
+#: Alias: the chunk array uses the exponent-bin geometry.
 chunk_count = bin_count
 
 
@@ -163,8 +157,8 @@ class SmallAccumulator:
     chunk:
         Elements scattered per pass (bounds temporary storage).
     backend:
-        ``"auto"`` (resolution chain), ``"pure"``, ``"numba"`` or
-        ``"cext"``; explicit compiled names raise
+        ``"auto"`` (resolution chain), ``"pure"`` or ``"cext"``;
+        an explicit compiled name raises
         :class:`repro.core.native.NativeUnavailableError` when missing.
     propagate_limit:
         Headroom units between deferred propagations (testing hook; the
@@ -330,10 +324,10 @@ class SmallAccumulator:
 
     @property
     def chunks(self) -> tuple[int, ...]:
-        """Complete state as a flat int tuple — unlike the
-        superaccumulator there is no side carry: the array *is* the
-        state.  Tuples from different accumulators merge by elementwise
-        addition; :func:`fold_bins` of the result is the merged total."""
+        """Complete state as a flat int tuple — there is no side
+        carry: the array *is* the state.  Tuples from different
+        accumulators merge by elementwise addition; :func:`fold_bins` of
+        the result is the merged total."""
         return tuple(int(v) for v in self._chunks)
 
     def total(self) -> int:
@@ -382,6 +376,6 @@ def smallacc_total(
 
 def canonical_chunks(value: int, nchunks: int) -> tuple[int, ...]:
     """Canonical chunk decomposition of a signed scaled integer — the
-    unique fixed point of :meth:`SmallAccumulator.propagate` (identical
-    to the superaccumulator's :func:`bins_from_int` layout)."""
+    unique fixed point of :meth:`SmallAccumulator.propagate` (the
+    :func:`bins_from_int` layout)."""
     return bins_from_int(value, nchunks)

@@ -1,49 +1,34 @@
-"""Exponent-binned superaccumulator: ``O(n)`` exact batch summation.
+"""Exponent-bin primitives shared by the small superaccumulator.
 
-The word-matrix engine (:mod:`repro.core.vectorized`) pays ``O(n*N)``
-work per reduction: every summand is expanded to an ``N``-word vector
-before the column sums fold it.  Neal, *Fast exact summation using small
-and large superaccumulators* (arXiv:1505.05571), shows the same exact
-result is reachable in per-summand work **independent of N**: scatter
-each mantissa into exponent-indexed fixed-point bins, and convert the
-bins to the wide format once per reduction.  This module is that fast
-path, specialized to the HP format so it is bit-identical to
-:func:`repro.core.vectorized.batch_sum_doubles` by construction.
+Neal, *Fast exact summation using small and large superaccumulators*
+(arXiv:1505.05571), reaches the exact sum in per-summand work
+independent of the HP word count ``N``: scatter each mantissa into
+exponent-indexed fixed-point bins, and convert the bins to the wide
+format once per reduction.  The engine lives in
+:mod:`repro.core.smallacc`; this module keeps the bin geometry, the
+validation pass, and the vectorized three-limb scatter it runs on the
+pure-NumPy backend (plus that scatter's scalar mirror, used by the
+simulated-GPU block kernel).
 
-Algorithm
----------
+Bin layout
+----------
 A double ``x`` decomposes (``numpy.frexp``) into an exact 53-bit integer
 mantissa ``mant`` and an exponent, giving the HP scaled integer
 ``A = sign * mant * 2**t`` with ``t = e - 53 + 64*k``.  Magnitude bits
 below the format's resolution (``t < 0``) truncate toward zero, exactly
-as :func:`repro.core.vectorized.batch_from_double` does.  Instead of
-materializing ``A`` over ``N`` words, the mantissa is split into 32-bit
-halves, shifted by ``t mod 32``, and its three 32-bit limbs are added —
-sign folded into the addend — into a small ``int64`` bin array where bin
-``i`` carries weight ``2**(32*i)``:
+as :func:`repro.core.vectorized.batch_from_double` does.  The mantissa
+is split into 32-bit halves, shifted by ``t mod 32``, and its three
+32-bit limbs are added — sign folded into the addend — into an ``int64``
+bin array where bin ``i`` carries weight ``2**(32*i)``:
 
     ``total = sum(bins[i] * 2**(32*i))``   (scaled-integer units).
 
-Bin merging is plain integer addition, so bin arrays combine
-associatively across chunks, threads, and ranks — the paper's
-order-invariance argument (Sec. III.B.3) carries over unchanged, and
-Goodrich & Eldawy's parallel framing (arXiv:1605.05436) applies
-directly: per-PE bin arrays reduce elementwise.
-
-Overflow headroom
------------------
-Each summand adds at most three addends of magnitude below ``2**33``
-(the middle limb is the sum of two 32-bit pieces), at most one per bin.
-After ``P`` summands every bin therefore holds less than ``P * 2**33``
-in magnitude; with ``P`` capped at ``2**30`` (:data:`FOLD_LIMIT`) that
-stays below ``2**63``, so an ``int64`` slot can never wrap.  Before the
-cap is reached the bins are **folded**: collapsed into an exact Python
-integer carry (:func:`fold_bins`) and zeroed, which resets the headroom
-clock without losing a bit.
-
-The scatter itself uses ``numpy.add.at`` — unbuffered, sequential, and
-deterministic (rule HP004): integer adds commute, so the result is
-invariant to summand order regardless.
+Each summand adds at most one addend of magnitude below ``2**33`` per
+bin (the middle limb is the sum of two 32-bit pieces); the engine's
+carry propagation (:data:`repro.core.smallacc.PROPAGATE_LIMIT`) keeps
+that headroom.  The scatter uses ``numpy.add.at`` — unbuffered,
+sequential, and deterministic (rule HP004): integer adds commute, so the
+result is invariant to summand order regardless.
 """
 
 from __future__ import annotations
@@ -54,14 +39,10 @@ import numpy as np
 
 from repro.core.params import HPParams
 from repro.errors import ConversionOverflowError
-from repro.observability import metrics as _obs
-from repro.observability.profile import phase as _phase
 from repro.util.bits import MASK32
 
 __all__ = [
     "BIN_BITS",
-    "FOLD_LIMIT",
-    "SuperAccumulator",
     "bin_count",
     "bins_from_int",
     "check_finite_in_range",
@@ -72,11 +53,6 @@ __all__ = [
 
 #: Bin weight spacing in bits: bin ``i`` carries weight ``2**(BIN_BITS*i)``.
 BIN_BITS = 32
-
-#: Summands scattered between folds.  Headroom proof: per summand each
-#: bin gains at most one addend of magnitude < 2**33, so after 2**30
-#: summands every |bin| < 2**63 — the int64 limit is never reached.
-FOLD_LIMIT = 1 << 30
 
 _MANT_BITS = 53
 _DEFAULT_CHUNK = 1 << 20
@@ -143,8 +119,8 @@ def check_finite_in_range(xs: np.ndarray, params: HPParams) -> None:
 def _scatter_chunk(xs: np.ndarray, params: HPParams, bins: np.ndarray) -> None:
     """Scatter one pre-validated chunk into the ``int64`` bin array.
 
-    The caller guarantees fold headroom (fewer than :data:`FOLD_LIMIT`
-    summands since the bins were last zeroed).
+    The caller guarantees headroom: fewer than ``2**30`` summands'
+    worth of addends since the bins were last propagated.
     """
     mantissa_f, exponent = np.frexp(np.abs(xs))
     mant = (mantissa_f * float(1 << _MANT_BITS)).astype(np.uint64)
@@ -174,9 +150,9 @@ def _scatter_chunk(xs: np.ndarray, params: HPParams, bins: np.ndarray) -> None:
 def scatter_double(x: float, params: HPParams, nbins: int | None = None) -> tuple[int, ...]:
     """Bin decomposition of a single double — the scalar mirror of the
     vectorized scatter (same limbs in the same bins), used by the
-    simulated-GPU binned kernel where threads convert one value at a
+    simulated-GPU block kernel where threads convert one value at a
     time.  Summing the returned tuples elementwise over any set of
-    values gives exactly the bins :class:`SuperAccumulator` produces.
+    values gives exactly the bins :func:`_scatter_chunk` produces.
     """
     if not math.isfinite(x):
         raise ConversionOverflowError(f"cannot convert {x!r} to bins")
@@ -199,181 +175,14 @@ def scatter_double(x: float, params: HPParams, nbins: int | None = None) -> tupl
     return tuple(limbs)
 
 
-class SuperAccumulator:
-    """Chunked exponent-binned accumulation engine for one HP format.
-
-    Parameters
-    ----------
-    params:
-        The HP format; every absorbed double must be within its range.
-    chunk:
-        Elements scattered per pass — bounds temporary storage at a few
-        ``chunk``-length arrays regardless of input size.
-    backend:
-        Inner-loop backend for the scatter (``"pure"``, ``"auto"``,
-        ``"numba"``, ``"cext"`` — see :mod:`repro.core.native`).  Every
-        backend computes the same three-limb integer adds, so bins are
-        bit-identical across backends.  The default stays ``"pure"``:
-        this engine is the repo's established baseline and its profile
-        and bench envelopes are calibrated to the NumPy path; pass
-        ``"auto"`` to opt into the compiled path (the new
-        :mod:`repro.core.smallacc` engine defaults to it).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> acc = SuperAccumulator(HPParams(3, 2))
-    >>> acc.absorb(np.array([0.1, 0.2, -0.1, -0.2]))
-    >>> acc.total()
-    0
-    """
-
-    __slots__ = (
-        "params", "chunk", "_bins", "_carry", "_pending", "count", "_kernel"
-    )
-
-    def __init__(
-        self,
-        params: HPParams,
-        chunk: int = _DEFAULT_CHUNK,
-        backend: str = "pure",
-    ) -> None:
-        if chunk <= 0:
-            raise ValueError(f"chunk must be positive, got {chunk}")
-        from repro.core import native as _native
-
-        self.params = params
-        self.chunk = int(chunk)
-        self._bins = np.zeros(bin_count(params), dtype=np.int64)
-        self._carry = 0    # folded exact total, scaled-integer units
-        self._pending = 0  # summands scattered since the last fold
-        self.count = 0
-        self._kernel = _native.resolve(backend)
-
-    @property
-    def backend(self) -> str:
-        """Name of the active inner-loop backend."""
-        return self._kernel.name
-
-    # -- accumulation -------------------------------------------------------
-
-    def absorb(self, xs: np.ndarray) -> None:
-        """Scatter an array of doubles into the bins, folding whenever
-        the int64 headroom would otherwise run out."""
-        xs = np.ascontiguousarray(xs, dtype=np.float64)
-        if xs.ndim != 1:
-            raise ValueError(f"expected 1-D input, got shape {xs.shape}")
-        with _phase("superacc.validate"):
-            check_finite_in_range(xs, self.params)
-        for start in range(0, xs.shape[0], self.chunk):
-            piece = xs[start : start + self.chunk]
-            if self._pending + piece.shape[0] > FOLD_LIMIT:
-                self._fold("headroom")
-            with _phase("superacc.scatter"):
-                if self._kernel.compiled:
-                    # Same three-limb integer adds, compiled: the bins
-                    # are bit-identical to _scatter_chunk, and the
-                    # FOLD_LIMIT headroom accounting is unchanged (the
-                    # kernel never propagates internally).
-                    self._kernel.superacc_scatter(
-                        piece, self.params.frac_bits, self._bins
-                    )
-                else:
-                    _scatter_chunk(piece, self.params, self._bins)
-            self._pending += piece.shape[0]
-            self.count += piece.shape[0]
-        if _obs.ENABLED:
-            _obs.REGISTRY.counter(
-                "superacc.scatter_bytes", n=self.params.n, k=self.params.k
-            ).inc(3 * 8 * int(xs.shape[0]))
-
-    def _fold(self, reason: str) -> None:
-        """Collapse the bins into the exact integer carry and zero them,
-        resetting the overflow-headroom clock."""
-        with _phase("superacc.fold"):
-            self._carry += fold_bins(self._bins)
-            self._bins[:] = 0
-            self._pending = 0
-        if _obs.ENABLED:
-            reg = _obs.REGISTRY
-            reg.counter("superacc.fold_triggers", reason=reason).inc()
-            reg.counter("superacc.bins_folded", reason=reason).inc(
-                int(self._bins.shape[0])
-            )
-
-    def merge(self, other: "SuperAccumulator") -> None:
-        """Fold another superaccumulator's state into this one (the
-        cross-PE combine: exact, associative, order-free)."""
-        if other.params != self.params:
-            from repro.errors import MixedParameterError
-
-            raise MixedParameterError(
-                f"cannot merge {other.params} into {self.params}"
-            )
-        # Merging adds up to other._pending summands' worth of bin mass;
-        # fold both sides' headroom into the carry first.
-        if self._pending + other._pending > FOLD_LIMIT:
-            self._fold("merge")
-        with _phase("superacc.merge"):
-            self._bins += other._bins
-            self._carry += other._carry
-            self._pending += other._pending
-            self.count += other.count
-
-    # -- extraction ---------------------------------------------------------
-
-    @property
-    def bins(self) -> tuple[int, ...]:
-        """Complete state as unbounded-int bins: the live ``int64`` bins
-        plus the canonical decomposition of the folded carry.  Feeding
-        the result to :func:`fold_bins` gives :meth:`total`; tuples from
-        different accumulators merge by elementwise addition."""
-        state = [int(v) for v in self._bins]
-        if self._carry:
-            for i, limb in enumerate(bins_from_int(self._carry, len(state))):
-                state[i] += limb
-        return tuple(state)
-
-    def total(self) -> int:
-        """The exact signed scaled-integer sum absorbed so far."""
-        return self._carry + fold_bins(self._bins)
-
-    def to_words(self, check_overflow: bool = True):
-        """Wrap the exact total into HP words (two's complement)."""
-        from repro.core.vectorized import _finalize_total
-
-        return _finalize_total(self.total(), self.params, check_overflow)
-
-    def to_double(self) -> float:
-        from repro.core.scalar import to_double
-
-        return to_double(self.to_words(), self.params)
-
-    def reset(self) -> None:
-        self._bins[:] = 0
-        self._carry = 0
-        self._pending = 0
-        self.count = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperAccumulator({self.params}, count={self.count}, "
-            f"pending={self._pending})"
-        )
-
-
 def superacc_total(
     xs: np.ndarray,
     params: HPParams,
     chunk: int = _DEFAULT_CHUNK,
     backend: str = "pure",
 ) -> int:
-    """Exact signed scaled-integer sum of ``xs`` via the binned engine.
+    """Legacy name of :func:`repro.core.smallacc.smallacc_total`; keeps
+    its historical pure-NumPy default backend."""
+    from repro.core.smallacc import smallacc_total
 
-    This is the kernel behind the ``method="superacc"`` fast path of
-    :func:`repro.core.vectorized.batch_sum_doubles`; callers wanting HP
-    words should use that entry point (or the engine registry).
-    """
-    engine = SuperAccumulator(params, chunk=chunk, backend=backend)
-    engine.absorb(xs)
-    return engine.total()
+    return smallacc_total(xs, params, chunk=chunk, backend=backend)

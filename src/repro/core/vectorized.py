@@ -194,7 +194,7 @@ def batch_sum_words(
 def _finalize_total(total: int, params: HPParams, check_overflow: bool = True) -> Words:
     """Range-check a true (unwrapped) integer sum and wrap it into the
     ``64N``-bit two's-complement field — the shared tail of every exact
-    batch reduction (word-matrix, superaccumulator, dot products)."""
+    batch reduction (word-matrix, small superaccumulator, dot products)."""
     with _phase("hp.finalize"):
         if check_overflow and not (params.min_int <= total <= params.max_int):
             raise AdditionOverflowError(
@@ -233,7 +233,7 @@ def batch_sum_doubles(
     params: HPParams,
     chunk: int = _DEFAULT_CHUNK,
     check_overflow: bool = True,
-    method: str = "superacc",
+    method: str = "small",
     accuracy: float | None = None,
 ) -> Words:
     """Fused convert-and-sum of an array of doubles into HP words.
@@ -245,14 +245,10 @@ def batch_sum_doubles(
     ``method`` names an engine in the :mod:`repro.core.engines` registry
     — all *exact* engines produce bit-identical words:
 
-    ``"superacc"`` (default)
-        The exponent-binned superaccumulator
-        (:mod:`repro.core.superacc`): per-summand cost independent of
-        ``N``, typically several times faster for ``N >= 4``.
-    ``"small"``
+    ``"small"`` (default; aliases ``"smallacc"``, ``"superacc"``)
         Neal's small superaccumulator (:mod:`repro.core.smallacc`):
-        deferred in-place carries and an optional compiled backend —
-        the fastest serial engine when the native path is available.
+        per-summand cost independent of ``N``, deferred in-place carries
+        and an optional compiled backend.
     ``"words"``
         The original word-matrix path (``batch_from_double`` +
         column sums): ``O(n * N)`` work, kept as the reference engine.

@@ -133,8 +133,8 @@ class _PhaseContext:
 def phase(name: str, **attrs: object):
     """Mark a named phase of a reduction::
 
-        with phase("superacc.scatter"):
-            _scatter_chunk(piece, params, bins)
+        with phase("smallacc.scatter"):
+            _scatter_chunk(piece, params, chunks)
 
     Returns the shared no-op while :data:`ENABLED` is off; otherwise a
     span named ``phase.<name>`` opens on the default tracer (nesting

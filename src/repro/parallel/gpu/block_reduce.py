@@ -141,11 +141,11 @@ def _method_ops(method_name: str, params):
     """(identity, convert, combine, finalize, decode, words_per_value,
     elementwise_merge) for the shared-memory tree.  ``decode`` maps raw
     memory words back to the method's working representation (Hallberg
-    digits and superacc bins are signed; HP words and double bits are
+    digits and hp-small chunks are signed; HP words and double bits are
     unsigned).  ``elementwise_merge`` marks representations whose words
     are independent signed lanes: the leader's global merge must be one
     atomic add per word with NO inter-word carry, because a wrap of a
-    signed lane (e.g. a negative bin crossing zero) is not a carry."""
+    signed lane (e.g. a negative chunk crossing zero) is not a carry."""
     if method_name == "double":
         return (
             (0,),
@@ -168,19 +168,22 @@ def _method_ops(method_name: str, params):
             params.n,
             False,
         )
-    if method_name == "hp-superacc":
+    if method_name == "hp-small":
         if not isinstance(params, HPParams):
-            raise TypeError("hp-superacc kernel requires HPParams")
-        nbins = bin_count(params)
+            raise TypeError("hp-small kernel requires HPParams")
+        # Threads convert with the three-limb scalar scatter: its lanes
+        # stay below 2**33 per summand, so the int64 shared-memory slots
+        # keep far more headroom than the two-limb (2**52) split.
+        nchunks = bin_count(params)
         return (
-            (0,) * nbins,
-            lambda x: scatter_double(x, params, nbins),
+            (0,) * nchunks,
+            lambda x: scatter_double(x, params, nchunks),
             lambda a, b: tuple(x + y for x, y in zip(a, b)),
-            lambda bins: hp_to_double(
-                _finalize_total(fold_bins(bins), params), params
+            lambda chunks: hp_to_double(
+                _finalize_total(fold_bins(chunks), params), params
             ),
             _decode_signed,
-            nbins,
+            nchunks,
             True,
         )
     if method_name == "hallberg":
@@ -290,7 +293,7 @@ def gpu_block_sum(
                         break
                     old = observed
             elif elementwise_merge:
-                # Signed independent lanes (superacc bins): one atomic
+                # Signed independent lanes (hp-small chunks): one atomic
                 # add per word, two's-complement wrap is the signed add.
                 for w in range(words_per - 1, -1, -1):
                     addend = words[w] & MASK64
@@ -315,7 +318,7 @@ def gpu_block_sum(
         steps = launch_blocks(device, blocks)
 
     raw = mem.dump(n, words_per)
-    signed_repr = method_name in ("hallberg", "hp-superacc")
+    signed_repr = method_name in ("hallberg", "hp-small")
     global_words = decode(tuple(raw)) if signed_repr else tuple(raw)
     partials = [
         finalize(decode(load_words(slot_addr(b, 0))))

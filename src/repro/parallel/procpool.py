@@ -15,7 +15,8 @@ Three pieces:
   ``multiprocessing.shared_memory`` segment; every worker attaches a
   read-only ``numpy`` view over the same physical pages at pool start.
   Task messages are just ``(method, lo, hi)`` index ranges, and results
-  are the method's partial (HP words, superaccumulator bins, a double)
+  are the method's partial (HP words, small-superaccumulator chunks, a
+  double)
   plus a small metadata dict.
 * **Out-of-core streaming.**  For inputs larger than RAM the summands
   never enter a Python process wholesale: workers open the ``.npy`` file
@@ -40,7 +41,7 @@ spans (plus any nested engine spans) in their private tracer and ship
 them back with the partials, where
 :meth:`repro.observability.tracing.Tracer.record_imported` re-homes them
 under the master's reduce span.  Worker-side counters (for example
-``superacc.fold_triggers``) are merged into the master registry the same
+``smallacc.propagate_triggers``) are merged into the master registry the same
 way.
 """
 

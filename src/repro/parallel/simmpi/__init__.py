@@ -14,7 +14,7 @@ from repro.parallel.simmpi.datatypes import (
     DoubleType,
     HallbergPartialType,
     HPWordsType,
-    SuperaccBinsType,
+    SmallaccChunksType,
     datatype_for_method,
 )
 from repro.parallel.simmpi.reduce import (
@@ -31,8 +31,8 @@ __all__ = [
     "Datatype",
     "DoubleType",
     "HPWordsType",
-    "SuperaccBinsType",
     "HallbergPartialType",
+    "SmallaccChunksType",
     "datatype_for_method",
     "scatterv",
     "gatherv",

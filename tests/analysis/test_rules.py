@@ -443,10 +443,11 @@ class TestHP012EngineRegistryBypass:
 
     def test_good_engine_class_imports_unflagged(self):
         # Only the batch total functions are registry-gated; the engine
-        # classes remain importable for streaming/merge use.
+        # class and the bin primitives remain importable for
+        # streaming/merge use.
         assert rules_in("""
             from repro.core.smallacc import SmallAccumulator
-            from repro.core.superacc import SuperAccumulator
+            from repro.core.superacc import fold_bins
         """, "src/repro/parallel/_fixture.py") == []
 
     def test_hosts_are_exempt(self):

@@ -2,8 +2,9 @@
 
 The native module promises that every backend computes the *same* exact
 integer arithmetic and that resolution degrades gracefully (auto never
-raises; explicit compiled names raise
-:class:`~repro.core.native.NativeUnavailableError` when missing).  Tests
+raises; an explicit ``cext`` raises
+:class:`~repro.core.native.NativeUnavailableError` when missing; any
+other name raises ``ValueError``).  Tests
 that need a compiled kernel skip when the environment cannot build one —
 the pure leg always runs.
 """
@@ -16,7 +17,7 @@ import pytest
 from repro.core import native
 from repro.core.params import HPParams
 from repro.core.smallacc import SmallAccumulator
-from repro.core.superacc import SuperAccumulator, bin_count, bins_from_int
+from repro.core.superacc import bin_count, bins_from_int, fold_bins
 
 from tests.core.test_superacc import adversarial_pool
 
@@ -48,7 +49,7 @@ class TestResolution:
 
     def test_auto_never_raises(self, clean_env):
         kern = native.resolve("auto")
-        assert kern.name in ("numba", "cext", "pure")
+        assert kern.name in ("cext", "pure")
 
     def test_force_pure_env(self, clean_env):
         clean_env.setenv("REPRO_FORCE_PURE", "1")
@@ -65,13 +66,13 @@ class TestResolution:
             native.resolve("fortran")
 
     def test_explicit_numba_raises_when_missing(self, clean_env):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            with pytest.raises(native.NativeUnavailableError):
-                native.resolve("numba")
-        else:
-            assert native.resolve("numba").compiled
+        # The numba rung is gone: its name is as unknown as any other,
+        # whether passed directly or pinned through REPRO_NATIVE.
+        with pytest.raises(ValueError, match="unknown backend"):
+            native.resolve("numba")
+        clean_env.setenv("REPRO_NATIVE", "numba")
+        with pytest.raises(ValueError, match="unknown backend"):
+            native.resolve("auto")
 
     def test_backend_info_shape(self, clean_env):
         info = native.backend_info()
@@ -99,12 +100,15 @@ class TestKernelBitIdentity:
         assert tuple(int(v) for v in chunks) == pure.chunks
 
     def test_superacc_scatter_matches_pure(self, rng, hp_params):
+        """The compiled two-limb kernel and the pure backend's three-limb
+        scatter (repro.core.superacc._scatter_chunk) split limbs
+        differently but must land on the same words."""
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
-        compiled = SuperAccumulator(hp_params, backend="auto")
+        compiled = SmallAccumulator(hp_params, backend="auto")
         assert compiled.backend == kern.name
         compiled.absorb(xs)
-        pure = SuperAccumulator(hp_params, backend="pure")
+        pure = SmallAccumulator(hp_params, backend="pure")
         pure.absorb(xs)
         assert compiled.to_words() == pure.to_words()
 
@@ -114,8 +118,6 @@ class TestKernelBitIdentity:
             [int(v) for v in rng.integers(-(2**40), 2**40, 8)],
             dtype=np.int64,
         )
-        from repro.core.superacc import fold_bins
-
         value = fold_bins(limbs)
         kern.propagate(limbs)
         assert tuple(int(v) for v in limbs) == bins_from_int(value, 8)
@@ -164,11 +166,6 @@ class TestKernelBitIdentity:
 class TestEngineBackendSelection:
     def test_smallacc_pure_pin(self):
         assert SmallAccumulator(P, backend="pure").backend == "pure"
-
-    def test_superacc_defaults_pure(self):
-        # The superaccumulator keeps its established pure path unless a
-        # caller opts in; smallacc defaults to auto.
-        assert SuperAccumulator(P).backend == "pure"
 
     def test_smallacc_honors_force_pure(self, clean_env):
         clean_env.setenv("REPRO_FORCE_PURE", "1")

@@ -1,8 +1,8 @@
 """Property tests pinning the small superaccumulator to the word path.
 
 The small engine (:mod:`repro.core.smallacc`) replaces the bigint fold
-with in-place deferred carry propagation; like the superacc tests, every
-assertion here is *bit identity* — with the words engine, the scalar
+with in-place deferred carry propagation; every assertion here is *bit
+identity* — with the words engine, the scalar
 oracle (:func:`scatter_one`), and across merges — never closeness.  The
 carry machinery gets targeted stress via a tiny ``propagate_limit`` and
 the canonical-form sweep.
@@ -124,10 +124,10 @@ class TestBitIdentity:
         )
 
     def test_matches_superacc(self, rng, hp_params):
+        """The default backend agrees with the legacy ``superacc_total``
+        name, which keeps its pure-NumPy default."""
         xs = adversarial_pool(hp_params, rng, 900)
-        assert smallacc_total(xs, hp_params, backend="pure") == (
-            superacc_total(xs, hp_params)
-        )
+        assert smallacc_total(xs, hp_params) == superacc_total(xs, hp_params)
 
     def test_permutation_invariant(self, rng, hp_params):
         xs = adversarial_pool(hp_params, rng, 800)
@@ -156,8 +156,8 @@ class TestBitIdentity:
         assert engine.chunks == (0,) * chunk_count(hp_params)
 
     def test_nonfinite_rejection_parity_with_superacc(self, hp_params):
-        """inf/NaN raise the same error type, and a partial batch leaves
-        no residue in either engine."""
+        """inf/NaN raise the same error type under the legacy name too,
+        and a partial batch leaves no residue in the engine."""
         for bad in (float("nan"), float("inf"), float("-inf")):
             xs = np.array([1.0, bad, 2.0])
             with pytest.raises(ConversionOverflowError):

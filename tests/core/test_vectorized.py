@@ -193,6 +193,11 @@ class TestEngineParity:
     """batch_sum_doubles(method=...) is a pure engine switch."""
 
     def test_default_is_superacc(self, rng):
+        # The default is the small engine, which the legacy "superacc"
+        # name resolves to.
+        from repro.core import engines
+
+        assert engines.get("superacc") is engines.get("small")
         xs = rng.uniform(-1.0, 1.0, 1000)
         assert batch_sum_doubles(xs, P) == batch_sum_doubles(
             xs, P, method="superacc"

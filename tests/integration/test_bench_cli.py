@@ -49,7 +49,9 @@ class TestRunRegress:
         assert oracle["permutations"] >= 3
         assert len(oracle["chunk_sizes"]) >= 2
         assert len(oracle["trials"]) == (
-            oracle["permutations"] * len(oracle["chunk_sizes"])
+            oracle["permutations"]
+            * len(oracle["chunk_sizes"])
+            * len(oracle["backends"])
         )
         assert all(t["bit_identical"] for t in oracle["trials"])
 
@@ -61,9 +63,12 @@ class TestRunRegress:
         assert all(c["small_bit_identical"] for c in report["cases"])
 
     def test_small_oracle_covers_backends(self, report):
-        oracle = report["small_oracle"]
+        oracle = report["oracle"]
         assert oracle["bit_identical"] is True
-        assert "pure" in oracle["backends"]
+        assert oracle["backends"][0] == "pure"
+        assert {t["backend"] for t in oracle["trials"]} == set(
+            oracle["backends"]
+        )
         # one trial per permutation x chunk x backend
         assert len(oracle["trials"]) == (
             oracle["permutations"]
@@ -113,7 +118,7 @@ class TestRunRegress:
     def test_unreachable_speedup_fails(self):
         doc = run_regress(n=1000, repeats=1, skip_oracle=True,
                           min_speedup=1e9)
-        assert doc["checks"]["superacc_faster"] is False
+        assert doc["checks"]["pure_faster"] is False
         assert doc["checks"]["passed"] is False
 
     def test_validate_flags_problems(self, report):
@@ -175,7 +180,7 @@ class TestRunScaling:
         cases = scaling_report["cases"]
         assert {(c["method"], c["pes"]) for c in cases} == {
             (m, p)
-            for m in ("double", "hp", "hp-superacc", "hp-small")
+            for m in ("double", "hp", "hp-small")
             for p in (1, 2)
         }
 
@@ -306,10 +311,9 @@ class TestBenchProfileFlag:
 
     def test_phases_block_covers_every_engine(self, profiled_report):
         phases = profiled_report["phases"]
-        assert set(phases["engines"]) == {"superacc", "small", "words"}
+        assert set(phases["engines"]) == {"small", "words"}
         assert phases["n"] == 2000
         expected_hot = {
-            "superacc": "superacc.scatter",
             "small": "smallacc.scatter",
             "words": "words.convert",
         }
@@ -326,13 +330,21 @@ class TestBenchProfileFlag:
         bad = dict(profiled_report, phases={"nope": 1})
         assert any("engines" in p for p in validate_report(bad))
         bad = dict(profiled_report,
-                   phases={"engines": {"superacc": "not-a-dict"}})
+                   phases={"engines": {"small": "not-a-dict"}})
         assert any("profile dict" in p for p in validate_report(bad))
 
     def test_old_schema_reports_still_accepted(self, profiled_report):
+        """The committed /1, /3 and /4 trajectory points carry the
+        retired superacc columns and must keep validating; a current
+        report relabelled as /1 lacks them and must not."""
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[2]
+        for name in ("BENCH_3.json", "BENCH_8.json", "BENCH_9.json"):
+            doc = json.loads((root / name).read_text())
+            assert validate_report(doc) == [], name
         legacy = dict(profiled_report, schema="repro.bench.regress/1")
-        legacy.pop("phases")
-        assert validate_report(legacy) == []
+        assert any("superacc_seconds" in p for p in validate_report(legacy))
 
     def test_profile_pass_leaves_tracer_as_found(self):
         from repro.observability import tracing
@@ -347,7 +359,7 @@ class TestBenchProfileFlag:
     def test_scaling_profile_has_worker_rows(self):
         doc = run_scaling(n=20_000, pes_list=(1, 2), repeats=1,
                           min_speedup=0.0, profile=True,
-                          methods=("hp-superacc",))
+                          methods=("hp-small",))
         assert validate_scaling_report(doc) == []
         block = doc["phases"]
         assert block["substrate"] == "procs"
@@ -363,6 +375,4 @@ class TestBenchProfileFlag:
                        "--out", str(out)])
         assert status == 0
         doc = json.loads(out.read_text())
-        assert set(doc["phases"]["engines"]) == {
-            "superacc", "small", "words"
-        }
+        assert set(doc["phases"]["engines"]) == {"small", "words"}

@@ -58,6 +58,28 @@ class TestSum:
         code, _, err = run_cli(capsys, "sum", "/no/such/file")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            (),
+            ("--engine", "words"),
+            ("--target-accuracy", "1e-12"),
+            ("--substrate", "procs", "--pes", "2"),
+        ],
+        ids=["default", "words", "planned", "procs"],
+    )
+    def test_nonfinite_input_is_one_domain_error(self, tmp_path, capsys,
+                                                 flags, bad):
+        """Every sum path rejects NaN/inf with the engines' one error
+        before it derives a format or plans an engine."""
+        f = tmp_path / "v.txt"
+        f.write_text(f"1.0 {bad} 2.0\n")
+        code, out, err = run_cli(capsys, "sum", str(f), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: input contains NaN or infinity"
+
     def test_empty_input(self, tmp_path, capsys):
         f = tmp_path / "empty.txt"
         f.write_text("")

@@ -337,7 +337,7 @@ class TestProcsRehoming:
         xs = np.linspace(-1.0, 1.0, 20_000)
         with profiled():
             with TRACER.span(RUN_SPAN, substrate="procs"):
-                result = procpool_reduce(xs, make_method("hp-superacc"), 2)
+                result = procpool_reduce(xs, make_method("hp-small"), 2)
         assert result.pes == 2
         report = ProfileReport.from_tracer()
         workers = {
@@ -352,7 +352,7 @@ class TestProcsRehoming:
                 "procs.combine"} <= master_phases
         # Worker scatter phases re-homed with their procpool ancestry.
         assert any(
-            r.phase == "superacc.scatter" and r.worker.startswith("pid=")
+            r.phase == "smallacc.scatter" and r.worker.startswith("pid=")
             for r in report.rows
         )
         assert 0.0 < report.attributed_fraction <= 1.0

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.core.params import HPParams
+from repro.core.smallacc import chunk_count
 from repro.parallel.drivers import global_sum, make_method
 from repro.parallel.methods import HPMethod, HPSmallaccMethod
 from repro.parallel.simmpi import datatype_for_method
-from repro.parallel.simmpi.datatypes import SmallaccChunksType, SuperaccBinsType
+from repro.parallel.simmpi.datatypes import SmallaccChunksType
 from repro.util.rng import default_rng
 
 PARAMS = HPParams(6, 3)
@@ -63,12 +64,14 @@ class TestDriverIntegration:
         assert r.words == hp_words
         assert r.value == global_sum(data, method="hp", params=PARAMS).value
 
-    def test_gpu_has_no_small_kernel(self, data):
-        with pytest.raises(ValueError, match="no hp-small kernel"):
-            global_sum(
-                data, method="hp-small", substrate="gpu", pes=8,
-                params=PARAMS,
-            )
+    def test_gpu_block_path(self, data, hp_words):
+        """The block kernel merges signed chunk lanes carry-free; the
+        folded global chunks must give hp's words."""
+        r = global_sum(
+            data, method="hp-small", substrate="gpu", pes=8, params=PARAMS,
+        )
+        assert r.method == "hp-small"
+        assert r.words == hp_words
 
     def test_pe_count_invariance(self, data):
         results = {
@@ -118,7 +121,7 @@ class TestMethodAlgebra:
     def test_partials_are_canonical(self, data):
         """local_reduce ships the canonical (fully propagated) chunk
         form — the transport contract merge_chunks assumes."""
-        from repro.core.smallacc import canonical_chunks, chunk_count
+        from repro.core.smallacc import canonical_chunks
         from repro.core.superacc import fold_bins
 
         m = HPSmallaccMethod(PARAMS)
@@ -135,14 +138,9 @@ class TestWireCodec:
     def test_datatype_dispatch(self):
         dt = datatype_for_method(HPSmallaccMethod(PARAMS))
         assert isinstance(dt, SmallaccChunksType)
-        # hp-small must dispatch before the superacc base class and must
-        # not shadow hp's word codec.
-        from repro.parallel.methods import HPSuperaccMethod
+        # hp-small must not shadow hp's word codec.
         from repro.parallel.simmpi import HPWordsType
 
-        assert not isinstance(
-            datatype_for_method(HPSuperaccMethod(PARAMS)), SmallaccChunksType
-        )
         assert isinstance(datatype_for_method(HPMethod(PARAMS)), HPWordsType)
 
     def test_nbytes_matches_method(self):
@@ -158,14 +156,16 @@ class TestWireCodec:
         assert dt.unpack(dt.pack(partial)) == partial
 
     def test_shares_superacc_wire_format(self):
-        """Same 16-byte signed slots as the bins codec: a chunk partial
-        and a bin partial of the same params are interchangeable on the
-        wire even though the dispatch types differ."""
-        dt_small = SmallaccChunksType(PARAMS)
-        dt_bins = SuperaccBinsType(PARAMS)
-        assert dt_small.nbytes == dt_bins.nbytes
-        partial = tuple(range(-3, dt_small.nbytes // 16 - 3))
-        assert dt_bins.unpack(dt_small.pack(partial)) == partial
+        """The codec keeps the retired bins codec's wire layout: one
+        16-byte signed little-endian slot per chunk, so slots widened
+        past 64 bits by a combine tree survive the trip."""
+        dt = SmallaccChunksType(PARAMS)
+        assert dt.nbytes == 16 * chunk_count(PARAMS)
+        partial = tuple(range(-3, dt.nbytes // 16 - 3))
+        partial = (-(2**100),) + partial[1:]
+        buf = dt.pack(partial)
+        assert buf[:16] == (-(2**100)).to_bytes(16, "little", signed=True)
+        assert dt.unpack(buf) == partial
 
     def test_cancellation_over_the_wire(self):
         rng = default_rng(7)

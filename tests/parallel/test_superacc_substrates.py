@@ -1,10 +1,12 @@
-"""hp-superacc across every substrate: same words as hp, any schedule.
+"""The hp-superacc alias across every substrate: same words as hp.
 
-The binned method ships different partials (signed bins instead of HP
-words) through the same reduction skeletons; these tests pin the
-architecture-invariance contract — the folded words must be
-bit-identical to the word-carrying hp adapter on every substrate, at
-every PE count, and the wire codec must round-trip partials exactly.
+``hp-superacc`` named an earlier binned engine; it now resolves to the
+small engine's ``hp-small`` adapter, so scripts and old reports keep
+working.  These tests pin that the alias reaches the same adapter on
+every path — the folded words must be bit-identical to the
+word-carrying hp adapter on every substrate (the GPU block kernel
+included), at every PE count, and the wire codec must round-trip
+partials exactly.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ import pytest
 
 from repro.core.params import HPParams
 from repro.parallel.drivers import global_sum, make_method
-from repro.parallel.methods import HPMethod, HPSuperaccMethod
-from repro.parallel.simmpi import SuperaccBinsType, datatype_for_method
+from repro.parallel.methods import HPMethod, HPSmallaccMethod
+from repro.parallel.simmpi import SmallaccChunksType, datatype_for_method
 from repro.util.rng import default_rng
 
 PARAMS = HPParams(6, 3)
 N = 700
+
+
+def alias_method():
+    return make_method("hp-superacc", PARAMS)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +43,8 @@ def hp_words(data) -> tuple:
 class TestDriverIntegration:
     def test_make_method_resolves(self):
         m = make_method("hp-superacc")
-        assert isinstance(m, HPSuperaccMethod)
+        assert isinstance(m, HPSmallaccMethod)
+        assert m.name == "hp-small"
         assert m.params == HPParams(6, 3)
 
     def test_make_method_rejects_wrong_params(self):
@@ -88,56 +95,56 @@ class TestDriverIntegration:
 
 class TestMethodAlgebra:
     def test_identity_is_neutral(self, data):
-        m = HPSuperaccMethod(PARAMS)
+        m = alias_method()
         partial = m.local_reduce(data)
         assert m.combine(partial, m.identity()) == partial
         assert m.combine(m.identity(), partial) == partial
 
     def test_combine_matches_concatenation(self, data):
-        m = HPSuperaccMethod(PARAMS)
+        m = alias_method()
         a, b = np.array_split(data, 2)
         combined = m.combine(m.local_reduce(a), m.local_reduce(b))
         assert m.words(combined) == m.words(m.local_reduce(data))
 
     def test_finalize_matches_hp(self, data):
-        m = HPSuperaccMethod(PARAMS)
+        m = alias_method()
         hp = HPMethod(PARAMS)
         assert m.finalize(m.local_reduce(data)) == hp.finalize(
             hp.local_reduce(data)
         )
 
     def test_is_exact(self):
-        assert HPSuperaccMethod(PARAMS).is_exact()
+        assert alias_method().is_exact()
 
 
 class TestWireCodec:
     def test_datatype_dispatch(self):
-        dt = datatype_for_method(HPSuperaccMethod(PARAMS))
-        assert isinstance(dt, SuperaccBinsType)
+        dt = datatype_for_method(alias_method())
+        assert isinstance(dt, SmallaccChunksType)
         # dispatch must not confuse the subclassless HPMethod codec
         from repro.parallel.simmpi import HPWordsType
 
         assert isinstance(datatype_for_method(HPMethod(PARAMS)), HPWordsType)
 
     def test_nbytes_matches_method(self):
-        m = HPSuperaccMethod(PARAMS)
-        dt = SuperaccBinsType(PARAMS)
+        m = alias_method()
+        dt = SmallaccChunksType(PARAMS)
         assert dt.nbytes == m.partial_nbytes()
 
     def test_roundtrip_negative_bins(self, data):
-        m = HPSuperaccMethod(PARAMS)
-        dt = SuperaccBinsType(PARAMS)
+        m = alias_method()
+        dt = SmallaccChunksType(PARAMS)
         partial = m.local_reduce(-np.abs(data))
         assert any(v < 0 for v in partial)
         assert dt.unpack(dt.pack(partial)) == partial
 
     def test_pack_rejects_wrong_arity(self):
-        dt = SuperaccBinsType(PARAMS)
+        dt = SmallaccChunksType(PARAMS)
         with pytest.raises(ValueError):
             dt.pack((1, 2, 3))
 
     def test_unpack_rejects_wrong_size(self):
-        dt = SuperaccBinsType(PARAMS)
+        dt = SmallaccChunksType(PARAMS)
         with pytest.raises(ValueError):
             dt.unpack(b"\x00" * (dt.nbytes - 1))
 

@@ -18,25 +18,26 @@ import pytest
 
 from repro.core.params import HPParams
 from repro.hallberg.params import HallbergParams
-from repro.parallel.methods import (
-    DoubleMethod,
-    HallbergMethod,
-    HPMethod,
-    HPSuperaccMethod,
-)
+from repro.parallel.drivers import make_method
+from repro.parallel.methods import DoubleMethod, HallbergMethod, HPMethod
 from repro.parallel.simmpi.datatypes import (
-    SuperaccBinsType,
+    SmallaccChunksType,
     datatype_for_method,
 )
 
 PARAMS = HPParams(6, 3)
 
-METHODS = [
-    DoubleMethod(),
-    HPMethod(PARAMS),
-    HPSuperaccMethod(PARAMS),
-    HallbergMethod(HallbergParams(10, 38)),
-]
+#: Requested method name -> adapter.  ``hp-superacc`` is the retired
+#: binned engine's name; it resolves to the hp-small chunk adapter.
+METHODS = {
+    "double": DoubleMethod(),
+    "hp": HPMethod(PARAMS),
+    "hp-superacc": make_method("hp-superacc", PARAMS),
+    "hallberg": HallbergMethod(HallbergParams(10, 38)),
+}
+each_method = pytest.mark.parametrize(
+    "method", list(METHODS.values()), ids=list(METHODS)
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +52,12 @@ class TestPickleRoundTrip:
     """multiprocessing moves partials (and the method objects) by
     pickle; both must survive unchanged."""
 
-    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.name)
+    @each_method
     def test_partial_survives_pickle(self, method, data):
         part = method.local_reduce(data)
         assert pickle.loads(pickle.dumps(part)) == part
 
-    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.name)
+    @each_method
     def test_combine_of_pickled_partials(self, method, data):
         a = pickle.loads(pickle.dumps(method.local_reduce(data[:1000])))
         b = pickle.loads(pickle.dumps(method.local_reduce(data[1000:])))
@@ -65,7 +66,7 @@ class TestPickleRoundTrip:
         )
         assert method.combine(a, b) == direct
 
-    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.name)
+    @each_method
     def test_method_object_survives_pickle(self, method, data):
         clone = pickle.loads(pickle.dumps(method))
         assert clone.local_reduce(data) == method.local_reduce(data)
@@ -75,11 +76,11 @@ class TestWireRoundTrip:
     """The byte codecs must agree with the adapters on size and value —
     the wire is an alternative transport for the same partials."""
 
-    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.name)
+    @each_method
     def test_nbytes_consistency(self, method):
         assert datatype_for_method(method).nbytes == method.partial_nbytes()
 
-    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.name)
+    @each_method
     def test_pack_unpack_identity(self, method, data):
         dt = datatype_for_method(method)
         part = method.local_reduce(data)
@@ -88,16 +89,16 @@ class TestWireRoundTrip:
         assert dt.unpack(buf) == part
 
     def test_superacc_bins_survive_negative_values(self):
-        """Bin partials are signed; negative-heavy data must round-trip."""
-        m = HPSuperaccMethod(PARAMS)
+        """Chunk partials are signed; negative-heavy data must round-trip."""
+        m = METHODS["hp-superacc"]
         xs = -np.abs(np.random.default_rng(7).uniform(0.5, 1.0, 500))
         part = m.local_reduce(xs)
         assert any(b < 0 for b in part)
-        dt = SuperaccBinsType(PARAMS)
+        dt = SmallaccChunksType(PARAMS)
         assert dt.unpack(dt.pack(part)) == part
 
     def test_superacc_bins_reject_wrong_arity(self):
-        dt = SuperaccBinsType(PARAMS)
+        dt = SmallaccChunksType(PARAMS)
         with pytest.raises(ValueError):
             dt.pack((1, 2, 3))
 
@@ -107,7 +108,7 @@ class TestSharedMemoryRoundTrip:
     back must decode to the identical partial — the byte path a
     shared-memory result mailbox would take."""
 
-    @pytest.mark.parametrize("method", METHODS, ids=lambda m: m.name)
+    @each_method
     def test_partial_bytes_through_shm(self, method, data):
         dt = datatype_for_method(method)
         part = method.local_reduce(data)
@@ -129,7 +130,7 @@ class TestSharedMemoryRoundTrip:
         try:
             view = np.ndarray(data.shape, dtype=np.float64, buffer=seg.buf)
             view[:] = data
-            m = HPSuperaccMethod(PARAMS)
+            m = METHODS["hp-superacc"]
             assert m.local_reduce(view) == m.local_reduce(data)
         finally:
             del view
