@@ -35,6 +35,11 @@ What it checks
   implementation in the repo.  The engine is checked on *both* the
   pure-NumPy backend and the resolved compiled backend (when one is
   available), so backend interchangeability is part of the gate;
+* on those same backends, poisoned copies of the input (a NaN, an
+  element at the range limit, a NaN after an out-of-range element) are
+  rejected with the same error message and leave the engine untouched
+  (``oracle.rejections``) — the compiled scatter validates its input
+  itself, so rejection is part of the backend contract too;
 * the small engine on the pure backend beats the words path at the
   headline configuration by at least ``min_speedup``;
 * the compiled backend's speedup over the pure one at the headline is
@@ -260,6 +265,8 @@ def run_regress(
                         }
                     )
                     oracle_ok = oracle_ok and match
+        rejections = _rejection_trials(xs, params, backends)
+        oracle_ok = oracle_ok and all(r["agrees"] for r in rejections)
         oracle = {
             "params": str(params),
             "n": n,
@@ -268,6 +275,7 @@ def run_regress(
             "backends": backends,
             "compiled_backend_available": resolved != "pure",
             "trials": trials,
+            "rejections": rejections,
             "bit_identical": bool(oracle_ok),
         }
 
@@ -375,6 +383,54 @@ def run_regress(
     if profile:
         doc["phases"] = _profile_pass(xs, headline)
     return doc
+
+
+def _rejection_trials(xs, params, backends: Sequence[str]) -> list[dict]:
+    """Poison a copy of ``xs`` and absorb it on every backend after a
+    good prefix: each backend must raise the pure backend's
+    :class:`~repro.errors.ConversionOverflowError` message and leave the
+    engine exactly as the prefix left it.  Cases: a NaN, an element at
+    the format's range limit, and a NaN *after* an out-of-range element
+    (NaN anywhere wins)."""
+    from repro.core.smallacc import SmallAccumulator
+    from repro.errors import ConversionOverflowError
+
+    n = xs.shape[0]
+    cases = {
+        "nan": {n // 2: float("nan")},
+        "out-of-range": {n // 2: params.max_value},
+        "nan-after-range": {n // 3: params.max_value, n - 1: float("nan")},
+    }
+    results = []
+    for case, poison in cases.items():
+        bad = xs.copy()
+        for i, value in poison.items():
+            bad[i] = value
+        expected = None
+        for backend in backends:
+            engine = SmallAccumulator(params, backend=backend)
+            engine.absorb(xs[: n // 4])
+            before = (engine.chunks, engine.count)
+            try:
+                engine.absorb(bad)
+                error = None
+            except ConversionOverflowError as exc:
+                error = str(exc)
+            if expected is None:
+                expected = error
+            results.append(
+                {
+                    "case": case,
+                    "backend": backend,
+                    "error": error,
+                    "agrees": bool(
+                        error is not None
+                        and error == expected
+                        and (engine.chunks, engine.count) == before
+                    ),
+                }
+            )
+    return results
 
 
 def _compensated_pass(xs, headline: dict, repeats: int) -> dict:
@@ -620,10 +676,11 @@ def format_summary(doc: dict) -> str:
     if oracle:
         lines.append(
             "  oracle {params} [{be}]: {t} permutation/chunk trials, "
-            "{eq}".format(
+            "{r} rejected-input trials, {eq}".format(
                 params=oracle["params"],
                 be=",".join(oracle["backends"]),
                 t=len(oracle["trials"]),
+                r=len(oracle.get("rejections", ())),
                 eq=(
                     "all bit-identical"
                     if oracle["bit_identical"]

@@ -86,11 +86,10 @@ def _load_finite(path: str) -> np.ndarray:
     """:func:`_load_values`, rejecting NaN/inf up front: every ``repro
     sum`` path raises the engines' one domain error before it derives a
     format or plans an engine."""
-    xs = _load_values(path)
-    if not np.isfinite(xs).all():
-        from repro.errors import ConversionOverflowError
+    from repro.core.superacc import check_finite
 
-        raise ConversionOverflowError("input contains NaN or infinity")
+    xs = _load_values(path)
+    check_finite(xs)
     return xs
 
 

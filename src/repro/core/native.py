@@ -26,6 +26,15 @@ two's-complement ``int64`` adds, and carry propagation uses arithmetic
 therefore interchangeable mid-computation, and the regression harness
 (``repro bench --regress``) gates on compiled-vs-pure bit-identity.
 
+**Fused validation.**  The compiled scatter also does the engine's
+input check: before decoding a summand it compares the raw magnitude
+bits against the bits of the format's limit, so NaN, ±inf and
+out-of-range values are rejected in the same pass that adds the rest,
+and no separate NumPy validation pass reads the input again.  It
+reports only the first rejected index; the caller restores its chunks
+and lets :func:`repro.core.superacc.check_finite_in_range` raise the
+error, so both backends reject the same inputs with the same message.
+
 The selected backend is introspectable via :func:`backend_info` /
 ``repro stats`` and published as the ``smallacc.backend`` gauge.
 
@@ -83,11 +92,16 @@ class KernelSet:
 
     Uniform Python-side signatures (arrays are contiguous, caller-owned):
 
-    * ``smallacc_scatter(xs, frac_bits, chunks)`` — two-limb Neal adds of
-      every element of ``xs`` (float64) into ``chunks`` (int64), with
-      internal carry propagation every :data:`SMALL_PROPAGATE_LIMIT`
-      adds and a final canonicalizing pass, so the array returns fully
-      propagated.
+    * ``smallacc_scatter(xs, frac_bits, chunks, lim)`` — two-limb Neal
+      adds of every element of ``xs`` (float64) into ``chunks`` (int64),
+      with internal carry propagation every
+      :data:`SMALL_PROPAGATE_LIMIT` adds and a final canonicalizing
+      pass, so the array returns fully propagated.  ``lim`` is the
+      ``uint64`` bit pattern of the format's range limit ``2**W`` (that
+      of ``+inf`` when ``W >= 1024``); an element whose magnitude bits
+      reach it — NaN, ±inf or out of range, except exactly ``-2**W`` —
+      stops the scatter.  Returns ``-1`` on success, else the index of
+      the first rejected element, with ``chunks`` partially updated.
     * ``propagate(chunks)`` — one full sequential carry sweep leaving
       the canonical decomposition (non-negative 32-bit low windows,
       signed top chunk).
@@ -137,17 +151,15 @@ def force_pure() -> bool:
 _C_SOURCE = r"""
 #include <stdint.h>
 
-/* frexp-compatible decomposition by bit inspection: for finite nonzero
-   x, returns the 53-bit integer mantissa m (frexp fraction * 2**53,
-   leading bit set) and writes e so that |x| = m * 2**(e - 53).
-   Subnormals are normalized exactly as frexp does.  Returns 0 for
-   (+/-)0.0; the caller validates away NaN/inf beforehand. */
-static int64_t repro_decompose(double x, int64_t *e) {
-    union { double d; uint64_t u; } b;
-    uint64_t u, frac;
+/* frexp-compatible decomposition by bit inspection: for the magnitude
+   bits u (sign dropped) of a finite nonzero double, returns the 53-bit
+   integer mantissa m (frexp fraction * 2**53, leading bit set) and
+   writes e so that |x| = m * 2**(e - 53).  Subnormals are normalized
+   exactly as frexp does.  Returns 0 for u == 0; NaN/inf never get
+   here (the scatter's range check rejects them first). */
+static int64_t repro_decompose(uint64_t u, int64_t *e) {
+    uint64_t frac;
     int64_t biased;
-    b.d = x;
-    u = b.u & 0x7FFFFFFFFFFFFFFFULL;           /* drop the sign bit */
     if (u == 0) { *e = 0; return 0; }
     biased = (int64_t)(u >> 52);
     frac = u & 0xFFFFFFFFFFFFFULL;
@@ -178,19 +190,32 @@ void repro_smallacc_propagate(int64_t *chunks, int64_t nchunks) {
 }
 
 /* Neal's small-superaccumulator add: two 64-bit adds per summand.
-   t = e - 53 + frac_bits positions the mantissa; below-resolution bits
-   truncate toward zero (the batch_from_double rule).  The mantissa's
-   low 32-sub bits land in chunk t>>5, the rest in the chunk above.
-   Deferred carries are propagated every SMALL_PROPAGATE_LIMIT adds
-   and once more on exit, so the array returns canonical. */
-void repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
-                            int64_t *chunks, int64_t nchunks) {
+   Each element is range-checked on its raw bits before the decode: one
+   unsigned compare of the magnitude bits against lim (the bits of
+   2**whole_bits, or of +inf when every finite double is in range)
+   rejects NaN, +/-inf and out-of-range values, and the two's-complement
+   minimum -2**whole_bits (bits == lim | sign, finite lim only) is let
+   through.  t = e - 53 + frac_bits positions the mantissa; below-
+   resolution bits truncate toward zero (the batch_from_double rule).
+   The mantissa's low 32-sub bits land in chunk t>>5, the rest in the
+   chunk above.  Deferred carries are propagated every
+   SMALL_PROPAGATE_LIMIT adds and once more on exit.  Returns -1 with
+   the array canonical, or the index of the first rejected element with
+   the array partially updated (the caller restores its snapshot). */
+int64_t repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
+                               int64_t *chunks, int64_t nchunks,
+                               uint64_t lim) {
+    const uint64_t neg_min =
+        (lim < 0x7FF0000000000000ULL) ? (lim | 0x8000000000000000ULL) : 0;
     int64_t since = 0, i;
     for (i = 0; i < n; i++) {
-        double x = xs[i];
+        union { double d; uint64_t u; } b;
         int64_t e, mant, t, idx, sub, sign;
-        uint64_t lo, hi;
-        mant = repro_decompose(x, &e);
+        uint64_t mag, lo, hi;
+        b.d = xs[i];
+        mag = b.u & 0x7FFFFFFFFFFFFFFFULL;      /* drop the sign bit */
+        if (mag >= lim && b.u != neg_min) return i;
+        mant = repro_decompose(mag, &e);
         if (mant == 0) continue;
         t = e - 53 + frac_bits;
         if (t < 0) {
@@ -206,7 +231,7 @@ void repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
            32 bits exact, and the high part is mant >> (32 - sub). */
         lo = ((uint64_t)mant << sub) & 0xFFFFFFFFULL;
         hi = (uint64_t)mant >> (32 - sub);
-        sign = (x < 0.0) ? -1 : 1;
+        sign = (b.u >> 63) ? -1 : 1;
         chunks[idx] += sign * (int64_t)lo;
         chunks[idx + 1] += sign * (int64_t)hi;
         if (++since >= 2046) {                  /* SMALL_PROPAGATE_LIMIT */
@@ -215,6 +240,7 @@ void repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
         }
     }
     repro_smallacc_propagate(chunks, nchunks);
+    return -1;
 }
 
 /* Sequential Neumaier (1974) compensated sum with a running max|x_i|:
@@ -292,17 +318,19 @@ def _build_cext() -> KernelSet:
     c_i64 = ctypes.c_longlong
     p_f64 = ctypes.POINTER(ctypes.c_double)
     p_i64 = ctypes.POINTER(c_i64)
-    lib.repro_smallacc_scatter.argtypes = [p_f64, c_i64, c_i64, p_i64, c_i64]
-    lib.repro_smallacc_scatter.restype = None
+    lib.repro_smallacc_scatter.argtypes = [
+        p_f64, c_i64, c_i64, p_i64, c_i64, ctypes.c_uint64,
+    ]
+    lib.repro_smallacc_scatter.restype = c_i64
     lib.repro_smallacc_propagate.argtypes = [p_i64, c_i64]
     lib.repro_smallacc_propagate.restype = None
     lib.repro_neumaier_partial.argtypes = [p_f64, c_i64, p_f64]
     lib.repro_neumaier_partial.restype = None
 
-    def smallacc_scatter(xs, frac_bits: int, chunks) -> None:
-        lib.repro_smallacc_scatter(
+    def smallacc_scatter(xs, frac_bits: int, chunks, lim: int) -> int:
+        return lib.repro_smallacc_scatter(
             xs.ctypes.data_as(p_f64), xs.shape[0], frac_bits,
-            chunks.ctypes.data_as(p_i64), chunks.shape[0],
+            chunks.ctypes.data_as(p_i64), chunks.shape[0], lim,
         )
 
     def propagate(chunks) -> None:

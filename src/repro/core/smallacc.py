@@ -66,6 +66,19 @@ loops; ``backend="pure"`` pins the NumPy path.  All backends are
 bit-identical (gated by ``repro bench --regress``); the active choice is
 published as the ``smallacc.backend`` gauge and shown by ``repro
 stats``.
+
+Validation
+----------
+Every absorbed double must be finite and inside the format's range
+(``-2**W <= x < 2**W``).  The pure backend checks the whole batch with
+:func:`repro.core.superacc.check_finite_in_range` (the
+``smallacc.validate`` phase) before it scatters.  The compiled kernel
+fuses the check into its scatter loop — one unsigned compare of each
+summand's raw bits before the decode — so the input is read once; on a
+rejection :meth:`SmallAccumulator.absorb` restores the chunks it
+snapshotted and raises the same error the pure backend raises.  Either
+way a rejected batch leaves ``chunks``, ``count`` and the headroom
+account as they were.
 """
 
 from __future__ import annotations
@@ -181,6 +194,7 @@ class SmallAccumulator:
         "_chunks",
         "_pending",
         "_kernel",
+        "_lim",
     )
 
     def __init__(
@@ -204,6 +218,11 @@ class SmallAccumulator:
         self._pending = 0  # headroom units since the last propagation
         self.count = 0
         self._kernel = _native.resolve(backend)
+        # Bit pattern of the range limit 2**W for the compiled scatter's
+        # raw-bits check: biased exponent W + 1023, zero fraction.  At
+        # W >= 1024 that is the pattern of +inf (every finite double is
+        # in range).
+        self._lim = (min(params.whole_bits, 1024) + 1023) << 52
         if _obs.ENABLED:
             _obs.REGISTRY.gauge(
                 "smallacc.backend", backend=self._kernel.name
@@ -218,24 +237,45 @@ class SmallAccumulator:
 
     def absorb(self, xs: np.ndarray) -> None:
         """Scatter an array of doubles into the chunks, propagating
-        deferred carries whenever the int64 headroom would run out."""
+        deferred carries whenever the int64 headroom would run out.
+
+        Raises :class:`~repro.errors.ConversionOverflowError` — and
+        absorbs nothing — when any element is NaN, infinite or outside
+        the format's range."""
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         if xs.ndim != 1:
             raise ValueError(f"expected 1-D input, got shape {xs.shape}")
-        with _phase("smallacc.validate"):
-            check_finite_in_range(xs, self.params)
         kern = self._kernel
         if kern.compiled:
-            # The kernel propagates internally every SMALL_PROPAGATE_LIMIT
-            # adds and returns the array canonical (= one residue unit);
-            # it only needs prior spill below its starting-state budget.
-            if self._pending > _NATIVE_PENDING_LIMIT:
-                self._propagate("headroom")
             with _phase("smallacc.scatter"):
-                kern.smallacc_scatter(xs, self.params.frac_bits, self._chunks)
+                # The kernel range-checks every element on its raw bits
+                # and stops at the first bad one; the snapshot, taken
+                # before any headroom pass, lets a rejected call leave
+                # no trace.  It propagates internally every
+                # SMALL_PROPAGATE_LIMIT adds and returns the array
+                # canonical (= one residue unit), so it only needs prior
+                # spill below its starting-state budget.
+                saved, pending = self._chunks.copy(), self._pending
+                if self._pending > _NATIVE_PENDING_LIMIT:
+                    self._propagate("headroom")
+                bad = kern.smallacc_scatter(
+                    xs, self.params.frac_bits, self._chunks, self._lim
+                )
+            if bad >= 0:
+                self._chunks[:] = saved
+                self._pending = pending
+                # Raises the pure backend's error: NaN/inf anywhere
+                # first, else the first out-of-range element.
+                check_finite_in_range(xs, self.params)
+                raise RuntimeError(
+                    f"compiled scatter rejected element {bad} = "
+                    f"{xs[bad]!r} that the {self.params} range check accepts"
+                )
             self._pending = 1
             self.count += int(xs.shape[0])
         else:
+            with _phase("smallacc.validate"):
+                check_finite_in_range(xs, self.params)
             for start in range(0, xs.shape[0], self.chunk):
                 piece = xs[start : start + self.chunk]
                 if self._pending + piece.shape[0] > self.propagate_limit:

@@ -6,9 +6,10 @@ independent of the HP word count ``N``: scatter each mantissa into
 exponent-indexed fixed-point bins, and convert the bins to the wide
 format once per reduction.  The engine lives in
 :mod:`repro.core.smallacc`; this module keeps the bin geometry, the
-validation pass, and the vectorized three-limb scatter it runs on the
-pure-NumPy backend (plus that scatter's scalar mirror, used by the
-simulated-GPU block kernel).
+NumPy validation pass (the compiled scatter checks its input itself),
+and the vectorized three-limb scatter the pure-NumPy backend runs
+(plus that scatter's scalar mirror, used by the simulated-GPU block
+kernel).
 
 Bin layout
 ----------
@@ -45,6 +46,7 @@ __all__ = [
     "BIN_BITS",
     "bin_count",
     "bins_from_int",
+    "check_finite",
     "check_finite_in_range",
     "fold_bins",
     "scatter_double",
@@ -102,18 +104,41 @@ def bins_from_int(value: int, nbins: int) -> tuple[int, ...]:
     return tuple(limbs)
 
 
-def check_finite_in_range(xs: np.ndarray, params: HPParams) -> None:
-    """Reject NaN/inf and values outside the format's range."""
-    if not np.isfinite(xs).all():
-        raise ConversionOverflowError("input contains NaN or infinity")
-    limit = 2.0**params.whole_bits
+def _all_within(xs: np.ndarray, limit: float) -> bool:
+    """True when every element lies in ``[-limit, limit)`` — or, for an
+    infinite ``limit``, is finite.  Two reductions and no temporaries:
+    a NaN propagates through ``min``/``max`` and fails both compares."""
+    if xs.size == 0:
+        return True
+    lo, hi = xs.min(), xs.max()
+    if limit == math.inf:
+        return bool(lo > -limit and hi < limit)
     # The asymmetric two's-complement range admits exactly -limit.
+    return bool(lo >= -limit and hi < limit)
+
+
+def check_finite(xs: np.ndarray) -> None:
+    """Reject NaN/inf with the engines' one domain error."""
+    if not _all_within(xs, math.inf):
+        raise ConversionOverflowError("input contains NaN or infinity")
+
+
+def check_finite_in_range(xs: np.ndarray, params: HPParams) -> None:
+    """Reject NaN/inf and values outside the format's range.
+
+    NaN/inf anywhere wins over a range error; otherwise the message
+    names the first out-of-range element.  Formats with
+    ``whole_bits >= 1024`` hold every finite double.
+    """
+    limit = params.max_value
+    if _all_within(xs, limit):
+        return
+    check_finite(xs)
     bad = (xs >= limit) | (xs < -limit)
-    if bad.any():
-        idx = int(np.argmax(bad))
-        raise ConversionOverflowError(
-            f"element {idx} = {xs.flat[idx]!r} outside {params} range ±{limit!r}"
-        )
+    idx = int(np.argmax(bad))
+    raise ConversionOverflowError(
+        f"element {idx} = {xs.flat[idx]!r} outside {params} range ±{limit!r}"
+    )
 
 
 def _scatter_chunk(xs: np.ndarray, params: HPParams, bins: np.ndarray) -> None:

@@ -24,6 +24,11 @@ from tests.core.test_superacc import adversarial_pool
 P = HPParams(3, 2)
 
 
+def _lim(params: HPParams) -> int:
+    """Bit pattern of the format's range limit (+inf past 2**1023)."""
+    return int(np.float64(params.max_value).view(np.uint64))
+
+
 def _compiled_or_skip() -> native.KernelSet:
     kern = native.resolve("auto")
     if not kern.compiled:
@@ -90,9 +95,10 @@ class TestKernelBitIdentity:
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
         chunks = np.zeros(bin_count(hp_params), dtype=np.int64)
-        kern.smallacc_scatter(
-            np.ascontiguousarray(xs), hp_params.frac_bits, chunks
-        )
+        assert kern.smallacc_scatter(
+            np.ascontiguousarray(xs), hp_params.frac_bits, chunks,
+            _lim(hp_params),
+        ) == -1
         pure = SmallAccumulator(hp_params, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -129,7 +135,9 @@ class TestKernelBitIdentity:
         n = 3 * native.SMALL_PROPAGATE_LIMIT + 17
         xs = adversarial_pool(P, rng, n)
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        kern.smallacc_scatter(np.ascontiguousarray(xs), P.frac_bits, chunks)
+        assert kern.smallacc_scatter(
+            np.ascontiguousarray(xs), P.frac_bits, chunks, _lim(P)
+        ) == -1
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -142,11 +150,28 @@ class TestKernelBitIdentity:
         xs = np.array([5e-324, -5e-324, 2.0**-1022, 0.0, -0.0,
                        2.0**-1040, -(2.0**-1060)])
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        kern.smallacc_scatter(np.ascontiguousarray(xs), P.frac_bits, chunks)
+        assert kern.smallacc_scatter(
+            np.ascontiguousarray(xs), P.frac_bits, chunks, _lim(P)
+        ) == -1
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
         pure.propagate()
         assert tuple(int(v) for v in chunks) == pure.chunks
+
+    @pytest.mark.parametrize(
+        "where", [0, 41, 2 * native.SMALL_PROPAGATE_LIMIT + 3]
+    )
+    def test_scatter_returns_first_rejected_index(self, where):
+        """The fused range check reports the first bad element; the
+        two's-complement minimum -2**W is not one."""
+        kern = _compiled_or_skip()
+        limit = P.max_value
+        xs = np.ones(2 * native.SMALL_PROPAGATE_LIMIT + 50)
+        xs[where - 1 if where else 1] = -limit
+        xs[where] = float(np.nextafter(-limit, -np.inf))
+        xs[-1] = float("nan")
+        chunks = np.zeros(bin_count(P), dtype=np.int64)
+        assert kern.smallacc_scatter(xs, P.frac_bits, chunks, _lim(P)) == where
 
     def test_cross_backend_merge(self, rng, hp_params):
         """Compiled and pure accumulators over different halves must

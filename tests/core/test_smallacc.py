@@ -13,9 +13,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.accumulator import HPAccumulator
 from repro.core.params import HPParams
 from repro.core.smallacc import (
+    _NATIVE_PENDING_LIMIT,
     PROPAGATE_LIMIT,
     SmallAccumulator,
     canonical_chunks,
@@ -178,6 +180,148 @@ class TestBitIdentity:
         xs = np.full(4, 2.0**62)
         with pytest.raises(AdditionOverflowError):
             batch_sum_doubles(xs, params, method="small")
+
+
+def _engine(params, backend):
+    """An engine on ``backend``; ``cext`` skips where nothing compiles."""
+    if backend == "cext" and not native.resolve("auto").compiled:
+        pytest.skip("no compiled backend available in this environment")
+    return SmallAccumulator(params, backend=backend)
+
+
+def _bits_to_double(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+#: HP(6,3) / HP(8,4) have a finite range limit 2**W; HP(20,2) has
+#: whole_bits >= 1024, so every finite double is in range.
+FUSED_FORMATS = [HPParams(6, 3), HPParams(8, 4), HPParams(20, 2)]
+FUSED_IDS = ["N6k3", "N8k4", "N20k2"]
+BACKENDS = ["cext", "pure"]
+
+
+def _boundary_inputs(params: HPParams) -> list[float]:
+    """Edge doubles around the format's limit and the double extremes."""
+    nan_payload = _bits_to_double(0x7FF0000000000123)
+    xs = [
+        float("nan"), -float("nan"), nan_payload, -nan_payload,
+        float("inf"), float("-inf"),
+        np.finfo(np.float64).max, -np.finfo(np.float64).max,
+        5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 0.0, -0.0,
+    ]
+    limit = params.max_value
+    if limit != float("inf"):
+        for edge in (limit, -limit):
+            xs += [edge, float(np.nextafter(edge, 0.0)),
+                   float(np.nextafter(edge, 2.0 * edge))]
+    return xs
+
+
+def _outcome(params, backend, xs):
+    engine = _engine(params, backend)
+    try:
+        engine.absorb(np.array(xs))
+    except Exception as exc:  # the verdict itself is under test
+        return (type(exc), str(exc))
+    return ("ok", engine.total())
+
+
+class TestFusedValidation:
+    """The compiled scatter checks its input itself; it must accept and
+    reject exactly what the pure backend's NumPy check does, with the
+    same error, and a rejected batch must leave no trace."""
+
+    @pytest.mark.parametrize("params", FUSED_FORMATS, ids=FUSED_IDS)
+    def test_boundary_verdicts_agree(self, params):
+        for x in _boundary_inputs(params):
+            for at in (0, 1):
+                xs = [1.0, x] if at else [x, 1.0]
+                pure = _outcome(params, "pure", xs)
+                assert (pure[0] == "ok") == params.in_range(x), repr(x)
+                assert _outcome(params, "cext", xs) == pure, repr(x)
+
+    @pytest.mark.parametrize("params", FUSED_FORMATS, ids=FUSED_IDS)
+    def test_two_complement_minimum_accepted(self, params):
+        limit = params.max_value
+        if limit == float("inf"):
+            pytest.skip("no finite range limit")
+        assert _outcome(params, "pure", [-limit])[0] == "ok"
+        assert _outcome(params, "cext", [-limit])[0] == "ok"
+        assert _outcome(params, "cext", [limit])[0] is ConversionOverflowError
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("params", FUSED_FORMATS, ids=FUSED_IDS)
+    @pytest.mark.parametrize(
+        "where", [0, 37, native.SMALL_PROPAGATE_LIMIT + 500],
+        ids=["first", "middle", "after-propagation"],
+    )
+    def test_rejection_leaves_state_untouched(self, rng, backend, params, where):
+        engine = _engine(params, backend)
+        engine.absorb(adversarial_pool(params, rng, 300))
+        # Push the headroom account over the compiled path's limit, so
+        # the call propagates before scattering: a restore must undo it.
+        other = SmallAccumulator(params, backend="pure")
+        other.absorb(adversarial_pool(params, rng, 50))
+        engine.merge_chunks(
+            other.chunks, count=other.count, units=_NATIVE_PENDING_LIMIT + 1
+        )
+        before = (engine.chunks, engine.count, engine._pending)
+        n = native.SMALL_PROPAGATE_LIMIT + 1000
+        limit = params.max_value
+        bad_values = [float("nan"), float("-inf")]
+        if limit != float("inf"):
+            bad_values.append(limit)
+        for bad in bad_values:
+            xs = adversarial_pool(params, rng, n)
+            xs[where] = bad
+            with pytest.raises(ConversionOverflowError) as info:
+                engine.absorb(xs)
+            if bad == limit:
+                assert f"element {where} " in str(info.value)
+            assert (engine.chunks, engine.count, engine._pending) == before
+        # Still usable, and nothing from the rejected batches leaked in.
+        good = adversarial_pool(params, rng, 100)
+        engine.absorb(good)
+        reference = SmallAccumulator(params, backend="pure")
+        reference.merge_chunks(before[0], count=before[1])
+        reference.absorb(good)
+        assert engine.total() == reference.total()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("params", FUSED_FORMATS[:2], ids=FUSED_IDS[:2])
+    def test_nan_after_range_error_wins(self, backend, params):
+        xs = np.ones(native.SMALL_PROPAGATE_LIMIT + 10)
+        xs[3] = params.max_value
+        xs[-1] = float("nan")
+        engine = _engine(params, backend)
+        with pytest.raises(ConversionOverflowError, match="NaN or infinity"):
+            engine.absorb(xs)
+        assert engine.count == 0 and engine.total() == 0
+
+    @pytest.mark.parametrize("engine", ["cext", "pure", "words"])
+    @pytest.mark.parametrize("n_words,k", [(17, 0), (20, 2)])
+    def test_formats_beyond_double_range(self, engine, n_words, k):
+        """whole_bits >= 1024: every finite double is in range, so the
+        extremes sum exactly instead of overflowing the limit."""
+        from fractions import Fraction
+
+        from repro.core.scalar import to_double, to_int_scaled
+
+        params = HPParams(n_words, k)
+        big = np.finfo(np.float64).max
+        xs = np.array([big, -big, 1.0, 5e-324])
+        if engine == "words":
+            words = batch_sum_doubles(xs, params, method="words")
+        else:
+            acc = _engine(params, engine)
+            acc.absorb(xs)
+            words = acc.to_words()
+        scale = 1 << params.frac_bits
+        exact = sum(int(Fraction(float(x)) * scale) for x in xs)  # trunc
+        assert to_int_scaled(words) == exact
+        assert to_double(words, params) == float(
+            sum(Fraction(float(x)) for x in xs)
+        )
 
 
 class TestMergeAlgebra:

@@ -77,6 +77,19 @@ class TestRunRegress:
         )
         assert all(t["bit_identical"] for t in oracle["trials"])
 
+    def test_rejected_input_gated_on_every_backend(self, report):
+        oracle = report["oracle"]
+        rejections = oracle["rejections"]
+        assert {(r["case"], r["backend"]) for r in rejections} == {
+            (case, backend)
+            for case in ("nan", "out-of-range", "nan-after-range")
+            for backend in oracle["backends"]
+        }
+        assert all(r["agrees"] for r in rejections)
+        by_case = {r["case"]: r["error"] for r in rejections}
+        assert by_case["nan-after-range"] == "input contains NaN or infinity"
+        assert by_case["out-of-range"].startswith("element 2000 ")
+
     def test_small_target_recorded_not_gated(self, report):
         checks = report["checks"]
         assert checks["small_target"] == 10.0
