@@ -673,9 +673,7 @@ def _cmd_sum_substrate(args, xs=None, decision=None) -> int:
         )
         print(repr(r.value))
         if args.words and adapter.is_exact():
-            from repro.parallel.drivers import _extract_words
-
-            words = _extract_words(adapter, r.partial)
+            words = adapter.words(r.partial)
             print(f"{adapter.name}:", _format_words(adapter.name, words))
         return 0
 
@@ -771,11 +769,11 @@ def _cmd_sum(args) -> int:
     from repro.hallberg.scalar import hb_to_double
     from repro.hallberg.vectorized import hb_batch_sum_doubles
     from repro.summation.compensated import kahan_sum
-    from repro.summation.naive import naive_sum
+    from repro.summation.naive import ordered_sum
 
     xs = _load_finite(args.input)
     if args.method == "double":
-        print(repr(float(naive_sum(xs))))
+        print(repr(ordered_sum(xs)))
         return 0
     if args.method == "kahan":
         print(repr(float(kahan_sum(xs))))

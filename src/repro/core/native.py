@@ -40,6 +40,12 @@ The selected backend is introspectable via :func:`backend_info` /
 
 Environment knobs
 -----------------
+The knobs are read when a backend is first resolved: ``auto`` is
+resolved once per process and cached, so a change to the environment
+after that takes effect only after :func:`_reset_for_tests` (an
+explicit ``backend="pure"`` needs no reset).  The cache directory is
+read when the compiled backend is first built.
+
 ``REPRO_FORCE_PURE=1``
     Skip the compiled backend (CI uses this for the pure leg of the
     backend matrix).
@@ -92,9 +98,12 @@ class KernelSet:
 
     Uniform Python-side signatures (arrays are contiguous, caller-owned):
 
-    * ``smallacc_scatter(xs, frac_bits, chunks, lim)`` — two-limb Neal
-      adds of every element of ``xs`` (float64) into ``chunks`` (int64),
-      with internal carry propagation every
+    * ``smallacc_scatter(xs_addr, n, frac_bits, chunks_addr, nchunks,
+      lim)`` — the C entry point itself, called with the plain buffer
+      addresses of ``xs`` (``n`` float64) and ``chunks`` (``nchunks``
+      int64), e.g. ``arr.ctypes.data``, so a call marshals no pointer
+      objects.  Two-limb Neal adds of every element of ``xs`` into
+      ``chunks``, with internal carry propagation every
       :data:`SMALL_PROPAGATE_LIMIT` adds and a final canonicalizing
       pass, so the array returns fully propagated.  ``lim`` is the
       ``uint64`` bit pattern of the format's range limit ``2**W`` (that
@@ -130,6 +139,9 @@ PURE = KernelSet("pure", None, None)
 _LOCK = threading.Lock()
 _RESOLVED: dict[str, KernelSet] = {}
 _BUILD_ERRORS: dict[str, str] = {}
+#: What ``auto`` resolved to, environment included; read without the
+#: lock on every later ``resolve("auto")``.
+_AUTO: KernelSet | None = None
 
 
 def force_pure() -> bool:
@@ -316,36 +328,27 @@ def _build_cext() -> KernelSet:
 
     lib = ctypes.CDLL(so_path)
     c_i64 = ctypes.c_longlong
-    p_f64 = ctypes.POINTER(ctypes.c_double)
-    p_i64 = ctypes.POINTER(c_i64)
-    lib.repro_smallacc_scatter.argtypes = [
-        p_f64, c_i64, c_i64, p_i64, c_i64, ctypes.c_uint64,
-    ]
-    lib.repro_smallacc_scatter.restype = c_i64
-    lib.repro_smallacc_propagate.argtypes = [p_i64, c_i64]
+    # Buffers cross as plain addresses (``arr.ctypes.data``): a
+    # ``c_void_p`` argument converts a Python int directly, where a
+    # ``data_as(POINTER(...))`` cast builds two ctypes objects per call.
+    addr = ctypes.c_void_p
+    scatter = lib.repro_smallacc_scatter
+    scatter.argtypes = [addr, c_i64, c_i64, addr, c_i64, ctypes.c_uint64]
+    scatter.restype = c_i64
+    lib.repro_smallacc_propagate.argtypes = [addr, c_i64]
     lib.repro_smallacc_propagate.restype = None
-    lib.repro_neumaier_partial.argtypes = [p_f64, c_i64, p_f64]
+    lib.repro_neumaier_partial.argtypes = [addr, c_i64, addr]
     lib.repro_neumaier_partial.restype = None
 
-    def smallacc_scatter(xs, frac_bits: int, chunks, lim: int) -> int:
-        return lib.repro_smallacc_scatter(
-            xs.ctypes.data_as(p_f64), xs.shape[0], frac_bits,
-            chunks.ctypes.data_as(p_i64), chunks.shape[0], lim,
-        )
-
     def propagate(chunks) -> None:
-        lib.repro_smallacc_propagate(
-            chunks.ctypes.data_as(p_i64), chunks.shape[0]
-        )
+        lib.repro_smallacc_propagate(chunks.ctypes.data, chunks.shape[0])
 
     def neumaier_partial(xs) -> tuple:
         out = (ctypes.c_double * 3)()
-        lib.repro_neumaier_partial(
-            xs.ctypes.data_as(p_f64), xs.shape[0], out
-        )
+        lib.repro_neumaier_partial(xs.ctypes.data, xs.shape[0], out)
         return (out[0], out[1], out[2])
 
-    return KernelSet("cext", smallacc_scatter, propagate, neumaier_partial)
+    return KernelSet("cext", scatter, propagate, neumaier_partial)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +360,30 @@ def resolve(backend: str = "auto") -> KernelSet:
 
     ``auto`` walks the chain cext -> pure, honoring
     ``REPRO_FORCE_PURE`` / ``REPRO_NATIVE``; a failed build degrades
-    silently (recorded in :func:`backend_info`).  Explicit ``cext``
-    raises :class:`NativeUnavailableError` when the backend cannot be
-    provided; explicit ``pure`` always succeeds.
+    silently (recorded in :func:`backend_info`).  The answer is cached
+    until :func:`_reset_for_tests`, so the environment is read once.
+    Explicit ``cext`` raises :class:`NativeUnavailableError` when the
+    backend cannot be provided; explicit ``pure`` always succeeds.
     """
+    global _AUTO
     if backend == "auto":
-        env = os.environ.get("REPRO_NATIVE", "").strip().lower()
-        if env and env != "auto":
-            backend = env
-    if backend == "pure" or (backend == "auto" and force_pure()):
+        kern = _AUTO
+        if kern is None:
+            kern = _AUTO = _resolve_auto()
+        return kern
+    return _resolve(backend)
+
+
+def _resolve_auto() -> KernelSet:
+    """What ``auto`` means under the current environment."""
+    env = os.environ.get("REPRO_NATIVE", "").strip().lower()
+    if env and env != "auto":
+        return _resolve(env)
+    return PURE if force_pure() else _resolve("auto")
+
+
+def _resolve(backend: str) -> KernelSet:
+    if backend == "pure":
         return PURE
     if backend not in ("auto", "cext"):
         raise ValueError(f"unknown backend {backend!r}; pick auto/cext/pure")
@@ -406,7 +424,9 @@ def backend_info() -> dict:
 
 def _reset_for_tests() -> None:
     """Drop resolution caches so env-var changes take effect (tests)."""
+    global _AUTO
     with _LOCK:
+        _AUTO = None
         _RESOLVED.clear()
         _BUILD_ERRORS.clear()
 

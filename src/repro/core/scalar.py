@@ -49,6 +49,7 @@ __all__ = [
     "from_double_listing1",
     "from_int_scaled",
     "to_double",
+    "scaled_to_double",
     "to_int_scaled",
     "add_words",
     "add_words_checked",
@@ -192,7 +193,12 @@ def to_double(words: Sequence[int], params: HPParams) -> float:
         raise MixedParameterError(
             f"word vector has {len(words)} words, {params} expects {params.n}"
         )
-    scaled = to_int_scaled(words)
+    return scaled_to_double(to_int_scaled(words), params)
+
+
+def scaled_to_double(scaled: int, params: HPParams) -> float:
+    """The double nearest the HP value of the scaled integer ``scaled``
+    (the tail of :func:`to_double`, for callers that hold the integer)."""
     try:
         return scaled / params.scale
     except OverflowError as exc:

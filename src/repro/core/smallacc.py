@@ -195,6 +195,8 @@ class SmallAccumulator:
         "_pending",
         "_kernel",
         "_lim",
+        "_addr",
+        "_canonical",
     )
 
     def __init__(
@@ -217,12 +219,18 @@ class SmallAccumulator:
         self._chunks = np.zeros(chunk_count(params), dtype=np.int64)
         self._pending = 0  # headroom units since the last propagation
         self.count = 0
+        # True while the chunks are the canonical decomposition, which
+        # makes propagate() a no-op (all zeros is canonical).
+        self._canonical = True
         self._kernel = _native.resolve(backend)
         # Bit pattern of the range limit 2**W for the compiled scatter's
         # raw-bits check: biased exponent W + 1023, zero fraction.  At
         # W >= 1024 that is the pattern of +inf (every finite double is
         # in range).
         self._lim = (min(params.whole_bits, 1024) + 1023) << 52
+        # The chunk array is only ever updated in place, so its address,
+        # which the compiled scatter takes, is fixed for its lifetime.
+        self._addr = self._chunks.ctypes.data if self._kernel.compiled else 0
         if _obs.ENABLED:
             _obs.REGISTRY.gauge(
                 "smallacc.backend", backend=self._kernel.name
@@ -232,6 +240,12 @@ class SmallAccumulator:
     def backend(self) -> str:
         """Name of the active inner-loop backend."""
         return self._kernel.name
+
+    @property
+    def canonical(self) -> bool:
+        """True when the chunks are known to be the canonical
+        decomposition, so :meth:`propagate` has nothing to do."""
+        return self._canonical
 
     # -- accumulation -------------------------------------------------------
 
@@ -259,7 +273,8 @@ class SmallAccumulator:
                 if self._pending > _NATIVE_PENDING_LIMIT:
                     self._propagate("headroom")
                 bad = kern.smallacc_scatter(
-                    xs, self.params.frac_bits, self._chunks, self._lim
+                    xs.ctypes.data, xs.shape[0], self.params.frac_bits,
+                    self._addr, self._chunks.shape[0], self._lim,
                 )
             if bad >= 0:
                 self._chunks[:] = saved
@@ -272,6 +287,7 @@ class SmallAccumulator:
                     f"{xs[bad]!r} that the {self.params} range check accepts"
                 )
             self._pending = 1
+            self._canonical = True
             self.count += int(xs.shape[0])
         else:
             with _phase("smallacc.validate"):
@@ -282,6 +298,7 @@ class SmallAccumulator:
                     self._propagate("headroom")
                 with _phase("smallacc.scatter"):
                     _scatter_chunk(piece, self.params, self._chunks)
+                self._canonical = False
                 self._pending += int(piece.shape[0])
                 self.count += int(piece.shape[0])
         if _obs.ENABLED:
@@ -299,6 +316,7 @@ class SmallAccumulator:
             self._chunks[:-1] &= _SMASK32
             self._chunks[1:] += carry
             self._pending = 1
+            self._canonical = False
         if _obs.ENABLED:
             _obs.REGISTRY.counter(
                 "smallacc.propagate_triggers", reason=reason
@@ -309,7 +327,11 @@ class SmallAccumulator:
         (the unique :func:`bins_from_int` form of the total): every
         non-top chunk holds exactly its 32-bit window, the top chunk the
         remaining signed high part.  Python-int arithmetic, so the
-        running carry can never wrap; cost is ``O(nchunks)``."""
+        running carry can never wrap; cost is ``O(nchunks)``, and
+        nothing when the chunks are already canonical (after a compiled
+        :meth:`absorb`, whose kernel returns them so)."""
+        if self._canonical:
+            return
         with _phase("smallacc.propagate"):
             ch = self._chunks
             carry = 0
@@ -319,6 +341,7 @@ class SmallAccumulator:
                 carry = v >> BIN_BITS
             ch[-1] = int(ch[-1]) + carry
             self._pending = 1
+            self._canonical = True
 
     def merge(self, other: "SmallAccumulator") -> None:
         """Add another small accumulator's chunks into this one (the
@@ -338,6 +361,7 @@ class SmallAccumulator:
         with _phase("smallacc.merge"):
             self._chunks += other._chunks
             self._pending += other._pending
+            self._canonical = False
             self.count += other.count
 
     def merge_chunks(self, chunks, count: int = 0, units: int | None = None) -> None:
@@ -358,6 +382,7 @@ class SmallAccumulator:
         with _phase("smallacc.merge"):
             self._chunks += np.array(limbs, dtype=np.int64)
             self._pending += units
+            self._canonical = False
             self.count += int(count)
 
     # -- extraction ---------------------------------------------------------
@@ -368,7 +393,7 @@ class SmallAccumulator:
         carry: the array *is* the state.  Tuples from different
         accumulators merge by elementwise addition; :func:`fold_bins` of
         the result is the merged total."""
-        return tuple(int(v) for v in self._chunks)
+        return tuple(self._chunks.tolist())
 
     def total(self) -> int:
         """The exact signed scaled-integer sum absorbed so far."""
@@ -388,6 +413,7 @@ class SmallAccumulator:
     def reset(self) -> None:
         self._chunks[:] = 0
         self._pending = 0
+        self._canonical = True
         self.count = 0
 
     def __repr__(self) -> str:

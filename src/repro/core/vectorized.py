@@ -191,15 +191,20 @@ def batch_sum_words(
     return _finalize_total(total, params, check_overflow)
 
 
+def _check_total_range(total: int, params: HPParams) -> None:
+    """Raise :class:`AdditionOverflowError` unless the true integer sum
+    ``total`` fits the format."""
+    if not params.min_int <= total <= params.max_int:
+        raise AdditionOverflowError(f"batch sum {total} outside {params} range")
+
+
 def _finalize_total(total: int, params: HPParams, check_overflow: bool = True) -> Words:
     """Range-check a true (unwrapped) integer sum and wrap it into the
     ``64N``-bit two's-complement field — the shared tail of every exact
     batch reduction (word-matrix, small superaccumulator, dot products)."""
     with _phase("hp.finalize"):
-        if check_overflow and not (params.min_int <= total <= params.max_int):
-            raise AdditionOverflowError(
-                f"batch sum {total} outside {params} range"
-            )
+        if check_overflow:
+            _check_total_range(total, params)
         field = 1 << (64 * params.n)
         wrapped = total % field
         if wrapped >= field >> 1:

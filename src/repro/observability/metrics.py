@@ -276,6 +276,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, LabelKey], object] = {}
+        #: Bumped by :meth:`clear`; a call site caching metric objects
+        #: re-fetches them when it changes.
+        self.generation = 0
 
     def _get_or_create(self, cls, name: str, labels: Mapping[str, object],
                        **kwargs):
@@ -367,6 +370,7 @@ class MetricsRegistry:
         """Drop every registration (tests use this for isolation)."""
         with self._lock:
             self._metrics.clear()
+            self.generation += 1
 
 
 #: The process-wide default registry all built-in instrumentation targets.

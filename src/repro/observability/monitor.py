@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.observability import journal as _journal
 from repro.observability import metrics as _obs
+from repro.summation.naive import ordered_sum
 from repro.summation.stats import ulp_distance
 
 __all__ = [
@@ -187,12 +188,10 @@ class DriftMonitor:
             data if full else data[: self.sample_limit], dtype=np.float64
         )
 
-        # Correctly-rounded reference and the float64 naive shadow.
-        # np.cumsum is the sequential left-to-right accumulation — the
-        # semantics of repro.summation.naive.naive_sum at NumPy speed
-        # (pinned equivalent in tests/observability/test_monitor.py).
+        # Correctly-rounded reference and the float64 naive shadow:
+        # the left-to-right recursion of naive_sum at NumPy speed.
         reference = math.fsum(sample)
-        shadow = float(np.cumsum(sample)[-1]) if len(sample) else 0.0
+        shadow = ordered_sum(sample)
 
         path = method.name
         reg = _obs.REGISTRY

@@ -100,6 +100,33 @@ class _NullPhase:
 _NULL_PHASE = _NullPhase()
 
 
+#: Phase name -> (registry, its generation, calls counter, seconds
+#: counter, duration histogram): the ``profile.*`` metrics of a phase,
+#: fetched once instead of by label on every phase exit.  Stale once the
+#: registry is replaced or cleared.
+_PHASE_METRICS: dict[str, tuple] = {}
+
+
+def _phase_metrics(name: str) -> tuple:
+    reg = _metrics.REGISTRY
+    cached = _PHASE_METRICS.get(name)
+    if cached is None or cached[0] is not reg or cached[1] != reg.generation:
+        # The generation is read before the fetches, so a clear() racing
+        # them leaves an entry that the next call sees as stale.
+        cached = _PHASE_METRICS[name] = (
+            reg,
+            reg.generation,
+            reg.counter("profile.phase_calls", phase=name),
+            reg.counter("profile.phase_seconds", phase=name),
+            reg.histogram(
+                "profile.phase_call_seconds",
+                buckets=PHASE_SECONDS_BUCKETS,
+                phase=name,
+            ),
+        )
+    return cached
+
+
 class _PhaseContext:
     """Span-backed phase region; records metrics on exit when armed."""
 
@@ -118,16 +145,10 @@ class _PhaseContext:
         self._cm.__exit__(exc_type, exc, tb)
         if _metrics.ENABLED:
             seconds = self._span.duration_s or 0.0
-            reg = _metrics.REGISTRY
-            reg.counter("profile.phase_calls", phase=self._name).inc()
-            reg.counter("profile.phase_seconds", phase=self._name).inc(
-                seconds
-            )
-            reg.histogram(
-                "profile.phase_call_seconds",
-                buckets=PHASE_SECONDS_BUCKETS,
-                phase=self._name,
-            ).observe(seconds)
+            _, _, calls, total, hist = _phase_metrics(self._name)
+            calls.inc()
+            total.inc(seconds)
+            hist.observe(seconds)
 
 
 def phase(name: str, **attrs: object):

@@ -19,19 +19,14 @@ from typing import Any
 
 import numpy as np
 
+from repro.core import engines
 from repro.core.params import HPParams
 from repro.hallberg.params import HallbergParams
 from repro.observability import journal as _journal
 from repro.observability import metrics as _obs
 from repro.observability import monitor as _drift
 from repro.observability import tracing as _trace
-from repro.parallel.methods import (
-    DoubleMethod,
-    HallbergMethod,
-    HPMethod,
-    HPSmallaccMethod,
-    ReductionMethod,
-)
+from repro.parallel.methods import DoubleMethod, HallbergMethod, ReductionMethod
 from repro.parallel.phi import offload_reduce
 from repro.parallel.procpool import procpool_reduce
 from repro.parallel.schedule import Schedule, scheduled_partial
@@ -71,8 +66,6 @@ def make_method(
     registry, so a newly registered engine is reachable here without
     touching this function.
     """
-    from repro.core import engines
-
     if isinstance(method, ReductionMethod):
         return method
     if method == "double":
@@ -92,18 +85,6 @@ def make_method(
         return factory(params or HPParams(6, 3))
     known = "/".join((*engines.adapter_names(), "hallberg", "double"))
     raise ValueError(f"unknown method {method!r}; pick {known}")
-
-
-def _extract_words(method: ReductionMethod, partial: Any) -> tuple | None:
-    if isinstance(method, HPSmallaccMethod):
-        # Fold chunks to HP words so results compare bitwise
-        # against the word-carrying hp adapter.
-        return tuple(method.words(partial))
-    if isinstance(method, HPMethod):
-        return tuple(partial)
-    if isinstance(method, HallbergMethod):
-        return tuple(partial[0])
-    return None
 
 
 def global_sum(
@@ -128,13 +109,48 @@ def global_sum(
     data = np.ascontiguousarray(data, dtype=np.float64)
     adapter = make_method(method, params)
     name = adapter.name
-
-    # Every request runs under a trace context: a fresh one at the root,
-    # or the caller's when global_sum is nested (bench sweeps).  The
-    # context follows the request across process and rank boundaries
-    # (procpool envelopes, simmpi headers), so the journal and the trace
-    # tell one causal story per trace_id.
+    # The trace/journal/drift plumbing runs only when one of them is on
+    # or the caller already holds a trace context; otherwise nothing
+    # would observe it.
     ctx = _trace.current_context()
+    if (ctx is None and not _trace.ENABLED and not _journal.ENABLED
+            and not _drift.MONITOR.armed):
+        value, words, pes = _dispatch(
+            data, adapter, substrate, pes, schedule, kwargs
+        )
+    else:
+        value, words, pes = _observed_dispatch(
+            ctx, data, adapter, substrate, pes, schedule, kwargs
+        )
+    if _obs.ENABLED:
+        _obs.REGISTRY.counter(
+            "global_sum.calls", method=name, substrate=substrate
+        ).inc()
+        _obs.REGISTRY.counter(
+            "global_sum.summands", method=name, substrate=substrate
+        ).inc(len(data))
+    return GlobalSumResult(
+        value=value, method=name, substrate=substrate, pes=pes, words=words
+    )
+
+
+def _observed_dispatch(
+    ctx: _trace.TraceContext | None,
+    data: np.ndarray,
+    adapter: ReductionMethod,
+    substrate: str,
+    pes: int,
+    schedule: Schedule | None,
+    kwargs: dict,
+) -> tuple[float, tuple | None, int]:
+    """:func:`_dispatch` under a trace context, a ``global_sum`` span,
+    ``request.*`` journal events and the drift watchdog."""
+    name = adapter.name
+    # Every observed request runs under a trace context: a fresh one at
+    # the root, or the caller's when global_sum is nested (bench
+    # sweeps).  The context follows the request across process and rank
+    # boundaries (procpool envelopes, simmpi headers), so the journal
+    # and the trace tell one causal story per trace_id.
     if ctx is None:
         ctx = _trace.TraceContext.new()
     start = time.perf_counter()
@@ -148,7 +164,7 @@ def global_sum(
             if sp.span_id is not None:
                 ctx.span_id = sp.span_id
             try:
-                value, partial, pes = _dispatch(
+                value, words, pes = _dispatch(
                     data, adapter, substrate, pes, schedule, kwargs
                 )
             except BaseException as exc:
@@ -164,13 +180,6 @@ def global_sum(
         method=name, substrate=substrate, pes=pes, n=len(data),
         ok=True, value=value, duration_s=time.perf_counter() - start,
     )
-    if _obs.ENABLED:
-        _obs.REGISTRY.counter(
-            "global_sum.calls", method=name, substrate=substrate
-        ).inc()
-        _obs.REGISTRY.counter(
-            "global_sum.summands", method=name, substrate=substrate
-        ).inc(len(data))
     # Accuracy-drift watchdog: the threads/procs substrates observe
     # their own reductions (they are also entered directly, without this
     # driver), so the driver only reports the substrates that lack a
@@ -178,13 +187,7 @@ def global_sum(
     if _drift.MONITOR.armed and substrate not in ("threads", "procs"):
         with _trace.activate_context(ctx):
             _drift.MONITOR.observe(data, value, adapter, substrate)
-
-    words = None
-    if partial is not None and adapter.is_exact():
-        words = _extract_words(adapter, partial)
-    return GlobalSumResult(
-        value=value, method=name, substrate=substrate, pes=pes, words=words
-    )
+    return value, words, pes
 
 
 def _dispatch(
@@ -194,24 +197,24 @@ def _dispatch(
     pes: int,
     schedule: Schedule | None,
     kwargs: dict,
-) -> tuple[float, Any, int]:
-    """Route to the substrate driver; returns (value, partial, pes)."""
+) -> tuple[float, tuple | None, int]:
+    """Route to the substrate driver; returns (value, words, pes), where
+    ``words`` is the exact bit pattern (``None`` for inexact methods)."""
     name = adapter.name
     if substrate == "serial":
-        partial = adapter.local_reduce(data)
-        value = adapter.finalize(partial)
-        pes = 1
-    elif substrate == "threads":
-        if schedule is not None:
-            # The scheduled combine already holds the exact words — no
-            # second full-array pass to recover them.
-            partial = scheduled_partial(data, adapter, pes, schedule)
-            value = adapter.finalize(partial)
-            if not adapter.is_exact():
-                partial = None
-        else:
-            r = thread_reduce(data, adapter, pes, **kwargs)
-            value, partial = r.value, r.partial
+        # One step from the partial to both value and words: the
+        # small-engine adapter folds its chunks once for the two.
+        value, words = adapter.finalize_words(adapter.local_reduce(data))
+        return value, words, 1
+    if substrate == "threads" and schedule is not None:
+        # The scheduled combine already holds the exact words — no
+        # second full-array pass to recover them.
+        partial = scheduled_partial(data, adapter, pes, schedule)
+        value, words = adapter.finalize_words(partial)
+        return value, words, pes
+    if substrate == "threads":
+        r = thread_reduce(data, adapter, pes, **kwargs)
+        value, partial = r.value, r.partial
     elif substrate == "procs":
         r = procpool_reduce(data, adapter, pes, schedule=schedule, **kwargs)
         value, partial = r.value, r.partial
@@ -270,4 +273,6 @@ def _dispatch(
         raise ValueError(
             f"unknown substrate {substrate!r}; pick one of {SUBSTRATES}"
         )
-    return value, partial, pes
+    if partial is None or not adapter.is_exact():
+        return value, None, pes
+    return value, adapter.words(partial), pes

@@ -20,16 +20,20 @@ import numpy as np
 from repro.core import compensated as _comp
 from repro.core.accumulator import HPAccumulator
 from repro.core.params import HPParams
-from repro.core.scalar import Words, add_words_checked, to_double
+from repro.core.scalar import Words, add_words_checked, scaled_to_double, to_double
 from repro.core.smallacc import SmallAccumulator
 from repro.core.superacc import bin_count, fold_bins
-from repro.core.vectorized import _finalize_total, batch_sum_doubles
+from repro.core.vectorized import (
+    _check_total_range,
+    _finalize_total,
+    batch_sum_doubles,
+)
 from repro.errors import SummandLimitError
 from repro.hallberg.accumulator import HallbergAccumulator
 from repro.hallberg.params import HallbergParams
 from repro.hallberg.scalar import hb_add, hb_to_double
 from repro.hallberg.vectorized import hb_batch_sum_doubles
-from repro.summation.naive import naive_sum
+from repro.summation.naive import ordered_sum
 
 P = TypeVar("P")
 
@@ -66,6 +70,15 @@ class ReductionMethod(ABC, Generic[P]):
     def finalize(self, partial: P) -> float:
         """Convert the final partial to a double."""
 
+    def words(self, partial: P) -> tuple | None:
+        """The exact bit pattern of a final partial (HP words, Hallberg
+        digits), or ``None`` for inexact methods."""
+        return None
+
+    def finalize_words(self, partial: P) -> tuple[float, tuple | None]:
+        """:meth:`finalize` and :meth:`words` of one final partial."""
+        return self.finalize(partial), self.words(partial)
+
     @abstractmethod
     def partial_nbytes(self) -> int:
         """Wire size of one partial — the MPI message payload."""
@@ -78,10 +91,11 @@ class ReductionMethod(ABC, Generic[P]):
 class DoubleMethod(ReductionMethod[float]):
     """Conventional double-precision summation (the paper's baseline).
 
-    ``strict_serial`` reduces each slice with a left-to-right loop (the
-    semantics of the paper's C loop); the default uses ``numpy.add.reduce``
-    (pairwise) for throughput.  Either way the result depends on the
-    partition and combine order — the non-reproducibility under study.
+    ``strict_serial`` reduces each slice left to right (the semantics of
+    the paper's C loop, :func:`~repro.summation.naive.ordered_sum`); the
+    default uses ``numpy.add.reduce`` (pairwise) for throughput.  Either
+    way the result depends on the partition and combine order — the
+    non-reproducibility under study.
     """
 
     name = "double"
@@ -94,7 +108,7 @@ class DoubleMethod(ReductionMethod[float]):
 
     def local_reduce(self, xs: np.ndarray) -> float:
         if self.strict_serial:
-            return naive_sum(xs)
+            return ordered_sum(xs)
         # The unbounded float accumulation IS this baseline's semantics —
         # the non-reproducibility the experiments measure.
         return float(np.add.reduce(np.asarray(xs, dtype=np.float64)))  # hp: noqa[HP013]
@@ -202,6 +216,9 @@ class HPMethod(ReductionMethod[tuple]):
     def finalize(self, partial: tuple) -> float:
         return to_double(partial, self.params)
 
+    def words(self, partial: tuple) -> tuple:
+        return tuple(partial)
+
     def partial_nbytes(self) -> int:
         return 8 * self.params.n
 
@@ -230,7 +247,10 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         self.params = params
         self.chunk = chunk
         self.backend = backend
-        self.nchunks = bin_count(params)
+
+    @property
+    def nchunks(self) -> int:
+        return bin_count(self.params)
 
     def identity(self) -> tuple:
         return (0,) * self.nchunks
@@ -242,8 +262,9 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         engine.absorb(np.asarray(xs, dtype=np.float64))
         # Canonicalize before shipping: every non-top chunk is a 32-bit
         # window, so transported partials are backend-independent and
-        # compact on the wire.
-        engine.propagate()
+        # compact on the wire.  The compiled scatter returns them so.
+        if not engine.canonical:
+            engine.propagate()
         return engine.chunks
 
     def combine(self, a: tuple, b: tuple) -> tuple:
@@ -254,7 +275,17 @@ class HPSmallaccMethod(ReductionMethod[tuple]):
         return _finalize_total(fold_bins(partial), self.params, True)
 
     def finalize(self, partial: tuple) -> float:
-        return to_double(self.words(partial), self.params)
+        """The double nearest the folded total: ``to_double(words(partial))``
+        without wrapping the total into words and back."""
+        total = fold_bins(partial)
+        _check_total_range(total, self.params)
+        return scaled_to_double(total, self.params)
+
+    def finalize_words(self, partial: tuple) -> tuple[float, Words]:
+        """Value and words from a single fold of the chunks."""
+        total = fold_bins(partial)
+        words = _finalize_total(total, self.params, True)
+        return scaled_to_double(total, self.params), words
 
     def partial_nbytes(self) -> int:
         # 16-byte signed wire slots (SmallaccChunksType): combined
@@ -300,6 +331,9 @@ class HallbergMethod(ReductionMethod[tuple]):
 
     def finalize(self, partial: tuple) -> float:
         return hb_to_double(partial[0], self.params)
+
+    def words(self, partial: tuple) -> tuple:
+        return tuple(partial[0])
 
     def partial_nbytes(self) -> int:
         return 8 * self.params.n + 8  # digits + summand count

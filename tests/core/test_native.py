@@ -29,6 +29,16 @@ def _lim(params: HPParams) -> int:
     return int(np.float64(params.max_value).view(np.uint64))
 
 
+def _scatter(kern: native.KernelSet, xs: np.ndarray, params: HPParams,
+             chunks: np.ndarray) -> int:
+    """Call the compiled scatter on arrays (it takes buffer addresses)."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    return kern.smallacc_scatter(
+        xs.ctypes.data, xs.shape[0], params.frac_bits,
+        chunks.ctypes.data, chunks.shape[0], _lim(params),
+    )
+
+
 def _compiled_or_skip() -> native.KernelSet:
     kern = native.resolve("auto")
     if not kern.compiled:
@@ -95,10 +105,7 @@ class TestKernelBitIdentity:
         kern = _compiled_or_skip()
         xs = adversarial_pool(hp_params, rng, 800)
         chunks = np.zeros(bin_count(hp_params), dtype=np.int64)
-        assert kern.smallacc_scatter(
-            np.ascontiguousarray(xs), hp_params.frac_bits, chunks,
-            _lim(hp_params),
-        ) == -1
+        assert _scatter(kern, xs, hp_params, chunks) == -1
         pure = SmallAccumulator(hp_params, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -135,9 +142,7 @@ class TestKernelBitIdentity:
         n = 3 * native.SMALL_PROPAGATE_LIMIT + 17
         xs = adversarial_pool(P, rng, n)
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        assert kern.smallacc_scatter(
-            np.ascontiguousarray(xs), P.frac_bits, chunks, _lim(P)
-        ) == -1
+        assert _scatter(kern, xs, P, chunks) == -1
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -150,9 +155,7 @@ class TestKernelBitIdentity:
         xs = np.array([5e-324, -5e-324, 2.0**-1022, 0.0, -0.0,
                        2.0**-1040, -(2.0**-1060)])
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        assert kern.smallacc_scatter(
-            np.ascontiguousarray(xs), P.frac_bits, chunks, _lim(P)
-        ) == -1
+        assert _scatter(kern, xs, P, chunks) == -1
         pure = SmallAccumulator(P, backend="pure")
         pure.absorb(xs)
         pure.propagate()
@@ -171,7 +174,7 @@ class TestKernelBitIdentity:
         xs[where] = float(np.nextafter(-limit, -np.inf))
         xs[-1] = float("nan")
         chunks = np.zeros(bin_count(P), dtype=np.int64)
-        assert kern.smallacc_scatter(xs, P.frac_bits, chunks, _lim(P)) == where
+        assert _scatter(kern, xs, P, chunks) == where
 
     def test_cross_backend_merge(self, rng, hp_params):
         """Compiled and pure accumulators over different halves must

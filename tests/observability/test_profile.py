@@ -81,6 +81,26 @@ class TestPhaseGate:
         )
         assert hist is not None and hist.count == 1
 
+    def test_metrics_follow_registry_clear_and_reset(self):
+        # The phase's metric objects are fetched once and reused; a
+        # cleared registry must get fresh ones, a reset one keeps them.
+        metrics.enable()
+        profile.enable()
+        for _ in range(2):
+            with phase("hp.round"):
+                pass
+        assert REGISTRY.value("profile.phase_calls", phase="hp.round") == 2
+        REGISTRY.clear()
+        with phase("hp.round"):
+            pass
+        assert REGISTRY.value("profile.phase_calls", phase="hp.round") == 1
+        hist = REGISTRY.get("profile.phase_call_seconds", phase="hp.round")
+        assert hist is not None and hist.count == 1
+        REGISTRY.reset()
+        with phase("hp.round"):
+            pass
+        assert REGISTRY.value("profile.phase_calls", phase="hp.round") == 1
+
     def test_enable_arms_tracing_too(self):
         profile.enable()
         assert tracing.ENABLED
