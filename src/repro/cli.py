@@ -629,184 +629,114 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sum_substrate(args, xs=None, decision=None) -> int:
-    """``repro sum --substrate ...``: route through the parallel layer
-    (including the true-multicore ``procs`` pool and its out-of-core
-    streaming path).  ``xs`` carries pre-loaded values and ``decision``
-    the engine plan (the planner path loads once to size the plan and
-    audits the delivered value against the plan's promised bound)."""
-    from repro.core.params import HPParams
-    from repro.hallberg.params import HallbergParams
-    from repro.parallel.drivers import global_sum, make_method
-    from repro.parallel.procpool import procpool_reduce
-
-    if args.method not in ("hp", "hallberg", "double"):
-        print(
-            f"error: --substrate supports hp/hallberg/double, "
-            f"not {args.method}",
-            file=sys.stderr,
-        )
-        return 2
-    method = args.method
-    params = None
-    if method == "hp":
-        # Each engine's adapter ships its native partial representation
-        # (bins / chunks / words); the registry maps engine -> adapter.
-        from repro.core.engines import get as _get_engine
-
-        method = _get_engine(args.engine).adapter_name
-        if args.params:
-            params = HPParams(*args.params)
-    elif args.params:
-        params = HallbergParams(*args.params)
-
-    if args.ooc:
-        if args.substrate != "procs" or not args.input.endswith(".npy"):
-            print(
-                "error: --ooc requires --substrate procs and a .npy input",
-                file=sys.stderr,
-            )
-            return 2
-        adapter = make_method(method, params)
-        r = procpool_reduce(
-            args.input, adapter, args.pes, start_method=args.start_method,
-        )
-        print(repr(r.value))
-        if args.words and adapter.is_exact():
-            words = adapter.words(r.partial)
-            print(f"{adapter.name}:", _format_words(adapter.name, words))
-        return 0
-
-    kwargs = {}
-    if args.substrate == "procs" and args.start_method:
-        kwargs["start_method"] = args.start_method
-    values = xs if xs is not None else _load_finite(args.input)
-    result = global_sum(
-        values, method=method, substrate=args.substrate,
-        pes=args.pes, params=params, **kwargs,
-    )
-    if decision is not None:
-        from repro.core import planner as _planner
-
-        _planner.validate_routed(
-            values, result.value, decision,
-            params=params if args.method == "hp" else None,
-        )
-    print(repr(result.value))
-    if args.words and result.words is not None:
-        print(f"{result.method}:",
-              _format_words(result.method, result.words))
-    return 0
-
-
-def _format_words(method: str, words: tuple) -> str:
-    """Hex for 64-bit HP words, plain ints for signed Hallberg digits."""
-    if method.startswith("hp"):
-        return " ".join(f"{w:016x}" for w in words)
-    return " ".join(str(w) for w in words)
-
-
-def _cmd_sum_planned(args) -> int:
-    """``repro sum --target-accuracy EPS``: error-bound-driven engine
-    selection (:mod:`repro.core.planner`) instead of a named engine."""
-    from repro.core import planner as _planner
-    from repro.core.params import HPParams
-
-    if args.method != "hp":
-        print(
-            "error: --target-accuracy plans over the hp engine registry; "
-            f"drop --method {args.method}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.ooc:
-        print(
-            "error: --target-accuracy needs the batch in memory to plan; "
-            "--ooc is not supported",
-            file=sys.stderr,
-        )
-        return 2
-    xs = _load_finite(args.input)
-    if args.substrate is not None:
-        from repro.observability import tracing as _tracing
-
-        # One trace for the whole planned request: the plan.decision
-        # row, the substrate execution (global_sum reuses the active
-        # context), and the bound.check audit all share a trace_id.
-        with _tracing.activate_context(_tracing.TraceContext.new()):
-            decision = _planner.plan(len(xs), args.target_accuracy)
-            args.engine = decision.engine
-            rc = _cmd_sum_substrate(args, xs, decision=decision)
-        if rc == 0 and args.explain_plan:
-            print(decision.explain(), file=sys.stderr)
-        return rc
-    result = _planner.planned_sum(
-        xs,
-        args.target_accuracy,
-        params=HPParams(*args.params) if args.params else None,
-    )
-    print(repr(result.value))
-    if args.words and result.words is not None:
-        print(f"{result.params}:",
-              " ".join(f"{w:016x}" for w in result.words))
-    if args.explain_plan:
-        print(result.plan.explain(), file=sys.stderr)
-    return 0
+def _sum_usage_error(args) -> str | None:
+    """The flag combinations ``repro sum`` refuses (exit 2)."""
+    if args.target_accuracy is not None and args.method != "hp":
+        return ("--target-accuracy plans over the hp engine registry; "
+                f"drop --method {args.method}")
+    if args.target_accuracy is not None and args.ooc:
+        return ("--target-accuracy needs the batch in memory to plan; "
+                "--ooc is not supported")
+    if args.substrate is not None and args.method in ("kahan", "fsum"):
+        return f"--substrate supports hp/hallberg/double, not {args.method}"
+    if args.ooc and (args.substrate != "procs"
+                     or not args.input.endswith(".npy")):
+        return "--ooc requires --substrate procs and a .npy input"
+    return None
 
 
 def _cmd_sum(args) -> int:
-    if args.target_accuracy is not None:
-        return _cmd_sum_planned(args)
-    if args.substrate is not None:
-        return _cmd_sum_substrate(args)
-    if args.ooc:
-        print("error: --ooc requires --substrate procs", file=sys.stderr)
-        return 2
-    from repro.core.params import HPParams, suggest_params
-    from repro.core.scalar import to_double
-    from repro.core.vectorized import batch_sum_doubles
-    from repro.hallberg.params import HallbergParams, equivalent_hallberg
-    from repro.hallberg.scalar import hb_to_double
-    from repro.hallberg.vectorized import hb_batch_sum_doubles
-    from repro.summation.compensated import kahan_sum
-    from repro.summation.naive import ordered_sum
+    """``repro sum``: one path for every request.
 
-    xs = _load_finite(args.input)
-    if args.method == "double":
-        print(repr(ordered_sum(xs)))
-        return 0
+    The format is chosen once (``--params``, else the data-derived
+    :func:`~repro.core.params.data_params`; Hallberg sizes its budget to
+    ``n``), the adapter once (planned by ``--target-accuracy``, else
+    named by ``--engine``/``--method``), and the sum runs through
+    :func:`~repro.parallel.drivers.global_sum` on ``--substrate``
+    (serial by default; ``--ooc`` streams the file through
+    ``procpool_reduce``).  So one input prints the same lines on every
+    substrate and PE count.  ``kahan`` and ``fsum`` are serial-only
+    float references.
+    """
+    import contextlib
+    import math
+
+    from repro.core.params import HPParams, data_params
+
+    usage = _sum_usage_error(args)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
+        return 2
+    derived = None
+    if args.ooc:
+        from repro.parallel.procpool import open_npy
+
+        xs = open_npy(args.input)
+        # The windowed pass is the out-of-core _load_finite: it rejects
+        # NaN/inf before any worker starts.
+        derived = data_params(xs)
+    else:
+        xs = _load_finite(args.input)
     if args.method == "kahan":
+        from repro.summation.compensated import kahan_sum
+
         print(repr(float(kahan_sum(xs))))
         return 0
     if args.method == "fsum":
-        import math
-
         print(repr(math.fsum(xs)))
         return 0
-    nonzero = np.abs(xs[xs != 0.0])
-    if args.method == "hp":
-        if args.params:
-            params = HPParams(*args.params)
-        elif len(nonzero):
-            params = suggest_params(
-                float(nonzero.sum()), float(nonzero.min())
-            )
+
+    from repro.core import engines, planner
+    from repro.hallberg.params import HallbergParams, equivalent_hallberg
+    from repro.observability import tracing
+    from repro.parallel.drivers import global_sum, make_method
+    from repro.parallel.methods import DoubleMethod
+
+    planned = args.target_accuracy is not None
+    # One trace for a planned request: plan.decision, the request.*
+    # rows of the execution and the bound.check audit share a trace_id.
+    scope = (tracing.activate_context(tracing.TraceContext.new())
+             if planned else contextlib.nullcontext())
+    with scope:
+        decision = (planner.plan(xs.size, args.target_accuracy)
+                    if planned else None)
+        params = None
+        if args.method == "double":
+            adapter = DoubleMethod(strict_serial=True)
+        elif args.method == "hallberg":
+            params = (HallbergParams(*args.params) if args.params
+                      else equivalent_hallberg(512, max(xs.size, 1)))
+            adapter = make_method("hallberg", params)
         else:
-            params = HPParams(2, 1)
-        words = batch_sum_doubles(xs, params, method=args.engine)
-        print(repr(to_double(words, params)))
-        if args.words:
-            print(f"{params}:", " ".join(f"{w:016x}" for w in words))
-        return 0
-    # hallberg
-    if args.params:
-        params = HallbergParams(*args.params)
-    else:
-        params = equivalent_hallberg(512, max(len(xs), 1))
-    digits = hb_batch_sum_doubles(xs, params)
-    print(repr(hb_to_double(digits, params)))
-    if args.words:
-        print(f"{params}:", " ".join(str(d) for d in digits))
+            spec = engines.get(decision.engine if planned else args.engine)
+            if spec.exact:
+                params = (HPParams(*args.params) if args.params
+                          else derived or data_params(xs))
+            adapter = make_method(spec.adapter_name, params)
+        if args.ooc:
+            from repro.parallel.procpool import procpool_reduce
+
+            r = procpool_reduce(args.input, adapter, args.pes,
+                                start_method=args.start_method)
+            value = r.value
+            words = adapter.words(r.partial) if adapter.is_exact() else None
+        else:
+            kwargs = {}
+            if args.substrate == "procs" and args.start_method:
+                kwargs["start_method"] = args.start_method
+            result = global_sum(
+                xs, adapter, substrate=args.substrate or "serial",
+                pes=args.pes, **kwargs,
+            )
+            value, words = result.value, result.words
+        if planned:
+            planner.validate_routed(xs, value, decision, params=params)
+    print(repr(value))
+    if args.words and words is not None:
+        fmt = "{:016x}" if isinstance(params, HPParams) else "{}"
+        print(f"{params}:", " ".join(map(fmt.format, words)))
+    if planned and args.explain_plan:
+        print(decision.explain(), file=sys.stderr)
     return 0
 
 

@@ -13,16 +13,28 @@ Table 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.errors import ParameterError
+import numpy as np
+
+from repro.errors import ConversionOverflowError, ParameterError
 from repro.util.bits import WORD_BITS
 
-__all__ = ["HPParams", "TABLE1_CONFIGS", "suggest_params"]
+__all__ = [
+    "HPParams",
+    "TABLE1_CONFIGS",
+    "data_params",
+    "derive_params",
+    "suggest_params",
+]
 
 # The (N, k) configurations of the paper's Table 1, in row order.
 TABLE1_CONFIGS: tuple[tuple[int, int], ...] = ((2, 1), (3, 2), (6, 3), (8, 4))
+
+#: Elements :func:`data_params` reads per window (512 KiB of float64).
+_SCAN_WINDOW = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,8 +169,6 @@ def suggest_params(
     >>> suggest_params(1.0, 2.0**-100)
     HPParams(n=4, k=3)
     """
-    import math
-
     if max_magnitude <= 0 or smallest_magnitude <= 0:
         raise ParameterError("magnitudes must be positive")
     if smallest_magnitude > max_magnitude:
@@ -172,3 +182,51 @@ def suggest_params(
     k = (frac_needed + WORD_BITS - 1) // WORD_BITS
     whole_words = (whole_needed + 1 + WORD_BITS - 1) // WORD_BITS  # +1 sign
     return HPParams(whole_words + k, k)
+
+
+def derive_params(n: int, max_abs: float, min_abs: float) -> HPParams:
+    """The data-derived format: the smallest ``(N, k)`` that holds the
+    exact sum of ``n`` summands with largest magnitude ``max_abs`` and
+    smallest nonzero magnitude ``min_abs``.
+
+    Computed from exponents alone, so a mass bound ``n * max_abs`` past
+    ``DBL_MAX`` still sizes a (wide) format: ``max_abs < 2**e`` gives
+    whole bits ``e + ceil(log2 n)`` plus one bit of headroom, and the
+    last mantissa bit of ``min_abs`` (at most ``2**-1074``) gives the
+    fraction bits.  All-zero or empty data gets ``HP(2, 1)``.
+
+    >>> derive_params(1000, 0.99, 1e-3)
+    HPParams(n=2, k=1)
+    >>> derive_params(10, 5e-324, 5e-324)
+    HPParams(n=18, k=17)
+    """
+    if n <= 0 or max_abs == 0.0:
+        return HPParams(2, 1)
+    whole_needed = max(0, math.frexp(max_abs)[1] + (n - 1).bit_length()) + 1
+    frac_needed = min(1074, max(0, 53 - math.frexp(min_abs)[1]))
+    k = -(-frac_needed // WORD_BITS)
+    whole_words = -(-(whole_needed + 1) // WORD_BITS)  # +1 sign bit
+    return HPParams(whole_words + k, k)
+
+
+def data_params(xs: np.ndarray) -> HPParams:
+    """:func:`derive_params` of a 1-D array, in-core or ``np.memmap``.
+
+    Reads ``xs`` in windows of :data:`_SCAN_WINDOW` elements through
+    one reused buffer, so the scan's memory stays small whatever the
+    input size.  Raises :class:`~repro.errors.ConversionOverflowError`
+    on NaN/inf, the engines' one domain error.
+    """
+    max_abs, min_abs = 0.0, math.inf
+    buf = np.empty(min(xs.size, _SCAN_WINDOW))
+    for start in range(0, xs.size, _SCAN_WINDOW):
+        window = np.asarray(xs[start:start + _SCAN_WINDOW], dtype=np.float64)
+        mag = np.abs(window, out=buf[:window.size])
+        top = float(mag.max())
+        if not math.isfinite(top):
+            raise ConversionOverflowError("input contains NaN or infinity")
+        max_abs = max(max_abs, top)
+        min_abs = min(
+            min_abs, float(np.min(mag, where=mag > 0.0, initial=math.inf))
+        )
+    return derive_params(xs.size, max_abs, min_abs)

@@ -215,7 +215,10 @@ def plan(
                 "coefficient": coeff,
                 "cost": unit * max(n, 1),
                 "escalated": spec.name in distrusted,
-                "eligible": coeff <= target and spec.name not in distrusted,
+                # A zero target demands exactness even where an inexact
+                # tier's coefficient is 0 too (n <= 1).
+                "eligible": (spec.exact if target == 0.0 else coeff <= target)
+                and spec.name not in distrusted,
             }
         )
     eligible = [r for r in rows if r["eligible"]]
@@ -296,21 +299,6 @@ class PlannedSum:
     params: object | None
 
 
-def _suggest_params(xs: np.ndarray):
-    """Streaming-estimable HP parameters: the mass upper bound
-    ``n * max|x|`` sizes the whole words, the smallest nonzero magnitude
-    sizes the fraction — no summation needed to pick the format."""
-    from repro.core.params import HPParams, suggest_params
-
-    nonzero = np.abs(xs[xs != 0.0])
-    if not nonzero.size:
-        return HPParams(2, 1)
-    return suggest_params(
-        _bounds.mass_upper_bound(xs.size, float(nonzero.max())),
-        float(nonzero.min()),
-    )
-
-
 def planned_sum(
     xs: np.ndarray,
     target: float,
@@ -329,8 +317,6 @@ def planned_sum(
     plan's promised bound (:meth:`DriftMonitor.observe_planned`) — a
     breach alarms and escalates the engine for subsequent plans.
     """
-    from repro.observability import monitor as _drift
-
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise ValueError(f"expected 1-D input, got shape {xs.shape}")
@@ -339,38 +325,23 @@ def planned_sum(
         costs=costs, measured=measured,
     )
     spec = _engines.get(decision.engine)
-    recompute: Callable[[np.ndarray], float]
+    words = None
     if spec.exact:
+        from repro.core.params import data_params
         from repro.core.scalar import to_double
         from repro.core.vectorized import batch_sum_doubles
 
         if params is None:
-            params = _suggest_params(xs)
+            params = data_params(xs)
         words = tuple(
             batch_sum_doubles(xs, params, chunk=chunk, method=spec.name)
         )
         value = to_double(words, params)
-
-        def recompute(sample, _p=params, _m=spec.name):
-            return to_double(
-                batch_sum_doubles(sample, _p, chunk=chunk, method=_m), _p
-            )
-
     else:
-        words = None
+        params = None
         value = spec.float_total(xs, chunk)
-
-        def recompute(sample, _m=spec.name):
-            return _engines.get(_m).float_total(sample, chunk)
-
-    # The monitor gates internally: fully armed publishes planner.*
-    # metrics and escalates on breach; journal-only still lands the
-    # bound.check promise-vs-measurement row.
-    _drift.MONITOR.observe_planned(xs, value, decision, recompute)
-    return PlannedSum(
-        value=value, plan=decision, words=words,
-        params=params if spec.exact else None,
-    )
+    validate_routed(xs, value, decision, params=params, chunk=chunk)
+    return PlannedSum(value=value, plan=decision, words=words, params=params)
 
 
 def validate_routed(
@@ -380,16 +351,16 @@ def validate_routed(
     params=None,
     chunk: int = 1 << 20,
 ) -> None:
-    """Audit a planner-routed sum that was executed elsewhere.
+    """Audit a planner-routed sum against the plan's promised bound.
 
-    The substrate path (``repro sum --target-accuracy --substrate ...``)
-    plans here but executes in the parallel layer, so :func:`planned_sum`
-    never sees the delivered value.  This re-attaches it to the plan's
-    promise via :meth:`DriftMonitor.observe_planned` — the same
-    ``bound.check`` journal row, ``planner.*`` metrics, and breach
-    escalation the serial path gets.
+    Both :func:`planned_sum` and ``repro sum --target-accuracy`` (which
+    executes through :func:`repro.parallel.drivers.global_sum`) land
+    here: :meth:`DriftMonitor.observe_planned` emits the ``bound.check``
+    journal row, and when armed the ``planner.*`` metrics and breach
+    escalation.  ``params`` is the HP format the sum ran in; batches
+    past the monitor's sample limit are recomputed over a prefix in that
+    format (default: :func:`~repro.core.params.data_params` of ``xs``).
     """
-    from repro.observability import journal as _journal
     from repro.observability import monitor as _drift
 
     if not (_drift.MONITOR.armed or _journal.ENABLED):
@@ -398,11 +369,12 @@ def validate_routed(
     spec = _engines.get(decision.engine)
     recompute: Callable[[np.ndarray], float]
     if spec.exact:
+        from repro.core.params import data_params
         from repro.core.scalar import to_double
         from repro.core.vectorized import batch_sum_doubles
 
         if params is None:
-            params = _suggest_params(xs)
+            params = data_params(xs)
 
         def recompute(sample, _p=params, _m=spec.name):
             return to_double(

@@ -27,7 +27,6 @@ from repro.parallel.methods import (
     standard_methods,
 )
 from repro.parallel.partition import block_ranges, block_slices, round_robin_indices
-from repro.parallel.procpool import ProcPool, ProcReduceResult, procpool_reduce
 from repro.parallel.schedule import (
     Schedule,
     assign_blocks,
@@ -35,7 +34,6 @@ from repro.parallel.schedule import (
     scheduled_partial,
     scheduled_reduce,
 )
-from repro.parallel.threads import ThreadReduceResult, thread_reduce
 
 __all__ = [
     "global_sum",
@@ -47,9 +45,6 @@ __all__ = [
     "chunk_ranges",
     "scheduled_partial",
     "scheduled_reduce",
-    "ProcPool",
-    "ProcReduceResult",
-    "procpool_reduce",
     "ReductionMethod",
     "DoubleMethod",
     "HPMethod",
@@ -58,6 +53,4 @@ __all__ = [
     "block_ranges",
     "block_slices",
     "round_robin_indices",
-    "thread_reduce",
-    "ThreadReduceResult",
 ]

@@ -27,11 +27,7 @@ from repro.observability import metrics as _obs
 from repro.observability import monitor as _drift
 from repro.observability import tracing as _trace
 from repro.parallel.methods import DoubleMethod, HallbergMethod, ReductionMethod
-from repro.parallel.phi import offload_reduce
-from repro.parallel.procpool import procpool_reduce
 from repro.parallel.schedule import Schedule, scheduled_partial
-from repro.parallel.simmpi import distributed_sum, mpi_reduce
-from repro.parallel.threads import thread_reduce
 
 __all__ = ["GlobalSumResult", "global_sum", "SUBSTRATES", "make_method"]
 
@@ -199,7 +195,10 @@ def _dispatch(
     kwargs: dict,
 ) -> tuple[float, tuple | None, int]:
     """Route to the substrate driver; returns (value, words, pes), where
-    ``words`` is the exact bit pattern (``None`` for inexact methods)."""
+    ``words`` is the exact bit pattern (``None`` for inexact methods).
+
+    Each driver is imported in its own branch, so a serial request loads
+    no substrate module."""
     name = adapter.name
     if substrate == "serial":
         # One step from the partial to both value and words: the
@@ -213,15 +212,23 @@ def _dispatch(
         value, words = adapter.finalize_words(partial)
         return value, words, pes
     if substrate == "threads":
+        from repro.parallel.threads import thread_reduce
+
         r = thread_reduce(data, adapter, pes, **kwargs)
         value, partial = r.value, r.partial
     elif substrate == "procs":
+        from repro.parallel.procpool import procpool_reduce
+
         r = procpool_reduce(data, adapter, pes, schedule=schedule, **kwargs)
         value, partial = r.value, r.partial
     elif substrate == "mpi":
+        from repro.parallel.simmpi import mpi_reduce
+
         r = mpi_reduce(data, adapter, pes, **kwargs)
         value, partial = r.value, r.partial
     elif substrate == "mpi-scatter":
+        from repro.parallel.simmpi import distributed_sum
+
         value, partial, _comm = distributed_sum(data, adapter, pes, **kwargs)
     elif substrate == "gpu":
         from repro.core.scalar import add_words
@@ -267,6 +274,8 @@ def _dispatch(
                         digits[i] += d
                 partial = (tuple(digits), len(data))
     elif substrate == "phi":
+        from repro.parallel.phi import offload_reduce
+
         r = offload_reduce(data, adapter, pes, **kwargs)
         value, partial = r.value, r.partial
     else:

@@ -73,6 +73,7 @@ __all__ = [
     "ProcPool",
     "ProcReduceResult",
     "default_start_method",
+    "open_npy",
     "procpool_reduce",
 ]
 
@@ -85,6 +86,16 @@ _TASK_SECONDS_BUCKETS = (
     0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
     10.0, 30.0,
 )
+
+
+def open_npy(path: str | os.PathLike) -> np.memmap:
+    """A ``.npy`` file as a flat read-only memmap: C-order arrays of any
+    shape are summed as their ravel, which is a view, so no element is
+    read until a window of it is sliced."""
+    mm = np.load(path, mmap_mode="r")
+    if not mm.flags.c_contiguous:
+        raise ValueError(f"out-of-core input {path} is not C-ordered")
+    return mm.reshape(-1)
 
 
 def default_start_method() -> str:
@@ -154,10 +165,7 @@ def _worker_slice(lo: int, hi: int, path: str | None) -> np.ndarray:
         return view[lo:hi]
     mm = _STATE["memmaps"].get(path)
     if mm is None:
-        mm = np.load(path, mmap_mode="r")
-        if mm.ndim != 1:
-            raise ValueError(f"expected a 1-D array in {path}, got {mm.shape}")
-        _STATE["memmaps"][path] = mm
+        mm = _STATE["memmaps"][path] = open_npy(path)
     return np.asarray(mm[lo:hi], dtype=np.float64)
 
 
@@ -412,13 +420,7 @@ class ProcPool:
         and faults in its own ``chunk``-bounded windows, so inputs
         larger than RAM stream through at bounded residency."""
         path = os.fspath(path)
-        header = np.load(path, mmap_mode="r")
-        if header.ndim != 1:
-            raise ValueError(
-                f"expected a 1-D array in {path}, got shape {header.shape}"
-            )
-        n = header.shape[0]
-        del header
+        n = open_npy(path).size
         return self._run(method, n, schedule, chunk, path=path,
                          source="memmap")
 
@@ -499,7 +501,7 @@ class ProcPool:
         a zero-copy view over the shared segment, or a memmap of the
         out-of-core file (the monitor's sample cap bounds page faults)."""
         if path is not None:
-            return np.load(path, mmap_mode="r")
+            return open_npy(path)
         if self._shm is not None and self._shape is not None:
             return np.ndarray(
                 self._shape, dtype=np.float64, buffer=self._shm.buf

@@ -112,6 +112,41 @@ class TestJournalOut:
         assert "coefficient" in decisions[0]  # the promised bound term
         assert "verdicts" in decisions[0]
 
+    def test_planned_audit_checks_the_format_that_ran(
+        self, tmp_path, capsys
+    ):
+        """Subnormals on a substrate: the plan runs and is audited in
+        the one data-derived format, so the exact answer is printed and
+        the audit finds no breach."""
+        values = tmp_path / "sub.npy"
+        np.save(values, np.array([5e-324] * 10))
+        spill = tmp_path / "journal.jsonl"
+        code, out, _ = run_cli(
+            capsys, "sum", str(values), "--target-accuracy", "0",
+            "--substrate", "threads", "--journal-out", str(spill),
+        )
+        assert code == 0 and out == "5e-323\n"
+        events = [json.loads(line) for line in
+                  spill.read_text().splitlines()]
+        (audit,) = [e for e in events if e["event"] == "bound.check"]
+        assert audit["breached"] is False and audit["error"] == 0.0
+
+    def test_planned_serial_run_journals_one_trace(
+        self, tmp_path, capsys, data_file
+    ):
+        spill = tmp_path / "journal.jsonl"
+        code, _, _ = run_cli(
+            capsys, "sum", data_file, "--target-accuracy", "0",
+            "--journal-out", str(spill),
+        )
+        assert code == 0
+        events = [json.loads(line) for line in
+                  spill.read_text().splitlines()]
+        names = {e["event"] for e in events}
+        assert {"plan.decision", "request.start", "request.finish",
+                "bound.check"} <= names
+        assert len({e.get("trace_id") for e in events}) == 1
+
     def test_planned_substrate_run_audits_under_one_trace(
         self, tmp_path, capsys, data_file
     ):

@@ -189,11 +189,18 @@ class TestOutOfCore:
         assert r.tasks >= N // 700
         assert small_words(r.partial) == hp_words
 
-    def test_memmap_rejects_2d(self, tmp_path):
+    def test_memmap_sums_c_order_2d_as_ravel(self, tmp_path, data, hp_words):
         path = tmp_path / "grid.npy"
-        np.save(path, np.zeros((4, 4)))
+        np.save(path, data.reshape(N // 100, 100))
+        with ProcPool(pes=2) as pool:
+            r = pool.reduce_memmap(path, HPSmallaccMethod(PARAMS), chunk=700)
+        assert small_words(r.partial) == hp_words
+
+    def test_memmap_rejects_fortran_order(self, tmp_path):
+        path = tmp_path / "grid.npy"
+        np.save(path, np.asfortranarray(np.zeros((4, 4))))
         with ProcPool(pes=1) as pool:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="not C-ordered"):
                 pool.reduce_memmap(path, HPSmallaccMethod(PARAMS))
 
     def test_path_source_routes_to_memmap(self, tmp_path, data, hp_words):
