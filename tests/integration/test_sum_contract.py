@@ -99,7 +99,7 @@ def test_other_methods_match_their_serial_substrate(tmp_path, name, method):
     assert direct == serial
 
 
-def test_double_is_left_to_right_on_every_substrate(tmp_path):
+def test_double_is_the_left_to_right_loop(tmp_path):
     data = INPUTS["uniform"]
     path = save(tmp_path, "uniform", data)
     total = 0.0
