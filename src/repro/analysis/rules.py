@@ -740,8 +740,8 @@ _FLOAT_REDUCERS = frozenset(
     {"np.sum", "numpy.sum", "np.add.reduce", "numpy.add.reduce"}
 )
 
-#: Files allowed to reduce float arrays directly: the compensated tiers
-#: are the sanctioned bounded wrapper around these primitives.
+#: Files allowed to reduce float arrays directly: the compensated tier
+#: is the sanctioned bounded wrapper around these primitives.
 _FLOAT_SUM_HOSTS = frozenset({("core", "compensated.py")})
 
 #: Integer dtype names: a reduction forced to an integer dtype is exact
@@ -780,14 +780,14 @@ def _is_integer_dtype(expr: ast.AST) -> bool:
     "Hallman & Ipsen 2021 (a-priori bounds); PR 9 accuracy planner",
     packages=("core", "parallel", "apps"),
     example_bad="total = float(np.sum(xs))         # O(n*u) error, no bound\ntotal = sum(values)               # builtin float accumulation",
-    example_good='words = engines.batch_words(xs, params, chunk, True, "small")\ntotal = compensated_sum(xs, kernel="neumaier")  # bounded tier',
+    example_good='words = engines.batch_words(xs, params, chunk, True, "small")\ntotal = finalize_partial(pairwise_partial(xs))  # bounded tier',
 )
 def check_unbounded_float_reduction(module: ModuleSource) -> Iterator[Finding]:
     """Flag ``np.sum`` / ``np.add.reduce`` / builtin ``sum()`` whose
     result feeds the library's answers.  Every such reduction accumulates
     ``O(n*u)`` rounding error with *no advertised bound* — exactly the
     failure mode this codebase exists to prevent.  Sanctioned reducers:
-    the exact engines (:mod:`repro.core.engines`), the compensated tiers
+    the exact engines (:mod:`repro.core.engines`), the compensated tier
     (:mod:`repro.core.compensated`, whose bound the planner checks), and
     ``math.fsum`` for small metadata reductions.
 

@@ -47,12 +47,11 @@ What it checks
   not fail the gate (container-dependent), but the honest measured
   ratio and an explanatory note land in ``checks``.
 
-* the compensated tiers (``comp-pairwise`` / ``comp-kahan`` /
-  ``comp-neumaier``) are timed on the full batch and held to *their*
-  contract — realized error within the a-priori bound
+* the compensated tier (``comp-pairwise``, the one inexact engine)
+  is timed on the full batch and held to *its* contract — realized error within the a-priori bound
   (:mod:`repro.core.bounds`) and run-to-run bit determinism for the
-  fixed input order — **not** to bit-identity (they are registered
-  ``exact=False`` and the bit-identity gates skip them by
+  fixed input order — **not** to bit-identity (it is registered
+  ``exact=False`` and the bit-identity gates skip it by
   construction).  The fastest bound-satisfying tier's speedup over the
   ``small`` exact engine is recorded against the 5x
   ``COMPENSATED_TARGET_SPEEDUP``; like the small engine's 10x, it is
@@ -94,8 +93,8 @@ COMPENSATED_TARGET_SPEEDUP = 5.0
 #: (``repro sum --target-accuracy 1e-12``).
 COMPENSATED_TARGET_ACCURACY = 1e-12
 
-#: The inexact tiers the compensated pass covers.
-COMPENSATED_TIERS = ("comp-pairwise", "comp-kahan", "comp-neumaier")
+#: The inexact tier the compensated pass covers.
+COMPENSATED_TIERS = ("comp-pairwise",)
 
 #: matrix defaults, pinned so reports stay comparable across PRs
 DEFAULT_N = 1 << 20
@@ -434,7 +433,7 @@ def _rejection_trials(xs, params, backends: Sequence[str]) -> list[dict]:
 
 
 def _compensated_pass(xs, headline: dict, repeats: int) -> dict:
-    """Time the inexact tiers on the full batch and hold each to its
+    """Time the inexact tier on the full batch and hold it to its
     contract: realized error within the a-priori bound, and bit-equal
     results across two runs on the fixed input order.  Returns the
     schema /4 ``compensated`` block."""

@@ -173,10 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="hp batch engine from the repro.core.engines registry: "
         "Neal small superaccumulator with optional compiled backend "
         "('small', the default; 'superacc' is an alias), the "
-        "word-matrix reference path, or a bounded-error compensated tier "
-        "('comp-pairwise'/'comp-kahan'/'comp-neumaier') — exact engines "
-        "give bit-identical results; comp-* tiers promise an a-priori "
-        "error bound instead",
+        "word-matrix reference path, or the bounded-error compensated "
+        "tier ('comp-pairwise') — exact engines give bit-identical "
+        "results; comp-pairwise promises an a-priori error bound instead",
     )
     p_sum.add_argument(
         "--target-accuracy", type=float, default=None, metavar="EPS",

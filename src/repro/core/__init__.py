@@ -14,8 +14,8 @@ Public surface:
 * :func:`plan` / :func:`planned_sum` — error-bound-driven engine
   selection: the cheapest registered engine whose a-priori bound
   (:mod:`repro.core.bounds`) meets a mass-relative accuracy target.
-* :func:`compensated_sum` / :class:`CompPartial` — the bounded-error
-  compensated tiers the planner routes tolerant traffic onto.
+* :class:`CompPartial` — the mergeable partial of the bounded-error
+  compensated tier the planner routes tolerant traffic onto.
 """
 
 from repro.core.accumulator import HPAccumulator
@@ -63,7 +63,7 @@ from repro.core.vectorized import (
     batch_to_double,
 )
 from repro.core.bounds import ErrorBound
-from repro.core.compensated import CompPartial, compensated_sum
+from repro.core.compensated import CompPartial
 from repro.core.planner import EnginePlan, PlannedSum, plan, planned_sum
 
 __all__ = [
@@ -116,7 +116,6 @@ __all__ = [
     "batch_to_double",
     "ErrorBound",
     "CompPartial",
-    "compensated_sum",
     "EnginePlan",
     "PlannedSum",
     "plan",

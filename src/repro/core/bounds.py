@@ -22,11 +22,6 @@ recursive         ``gamma_{n-1}`` — the naive left-to-right baseline
 pairwise          ``gamma_{ceil(log2 n) + s}`` with slack ``s``
                   covering NumPy's blocked 8-way-unrolled reduction
                   and the chunk-merge tree
-kahan/neumaier    ``2u + gamma_{ceil(log2 LANES) + s} + 4nu^2 + 2n^2u^2``
-                  — the classic compensated ``2u + O(nu^2)`` plus the
-                  cross-lane pairwise fold of the vectorized layout
-                  (the higher-order terms also cover the compiled
-                  scalar Neumaier backend's ``O(n^2 u^2)``)
 exact HP          ``0`` — the engines return the correctly rounded sum
 ================  ====================================================
 
@@ -37,11 +32,10 @@ with probability at least ``1 - delta`` the error behaves like the
     c(n) ~= lambda(delta) * u * sqrt(h) ,
     lambda(delta) = sqrt(2 * ln(2 / delta)) ,
 
-with ``h = n - 1`` (recursive) or ``ceil(log2 n) + s`` (pairwise); the
-compensated tiers keep their ``2u`` first-order term and shrink only
-the higher-order tail.  Probabilistic bounds are advisory — the planner
-defaults to the deterministic ones, and the drift monitor validates
-whichever mode produced the plan.
+with ``h = n - 1`` (recursive) or ``ceil(log2 n) + s`` (pairwise).
+Probabilistic bounds are advisory — the planner defaults to the
+deterministic ones, and the drift monitor validates whichever mode
+produced the plan.
 """
 
 from __future__ import annotations
@@ -69,11 +63,6 @@ UNIT_ROUNDOFF = 2.0**-53
 #: inner loop, and the chunked kernel merges chunk results through a
 #: ``two_sum`` chain — 10 levels cover both with margin.
 PAIRWISE_DEPTH_SLACK = 10
-
-#: Lane count of the vectorized compensated kernels (kept in sync with
-#: :data:`repro.core.compensated.LANES` by a test, not an import, so
-#: this module stays dependency-free for the planner).
-_COMP_LANES = 4096
 
 MODES = ("deterministic", "probabilistic")
 
@@ -106,26 +95,11 @@ def _pairwise_depth(n: int) -> int:
     return math.ceil(math.log2(n)) + PAIRWISE_DEPTH_SLACK
 
 
-def _compensated_tail(n: int) -> float:
-    """Higher-order terms shared by the compensated tiers: the classic
-    ``O(nu^2)`` plus ``O(n^2 u^2)`` covering the compiled sequential
-    Neumaier backend (whose second-order term grows with ``n^2``)."""
-    u = UNIT_ROUNDOFF
-    return 4.0 * n * u * u + 2.0 * float(n) * float(n) * u * u
-
-
 #: model name -> deterministic coefficient c(n)
 _DETERMINISTIC = {
     "exact": lambda n: 0.0,
     "recursive": lambda n: gamma(n - 1) if n >= 2 else 0.0,
     "pairwise": lambda n: gamma(_pairwise_depth(n)) if n >= 2 else 0.0,
-    "compensated": lambda n: (
-        0.0
-        if n < 2
-        else 2.0 * UNIT_ROUNDOFF
-        + gamma(math.ceil(math.log2(_COMP_LANES)) + 4)
-        + _compensated_tail(n)
-    ),
 }
 
 
@@ -141,9 +115,6 @@ def _probabilistic(model: str, n: int, failure_prob: float) -> float:
     if model == "pairwise":
         h = _pairwise_depth(n)
         return lam * u * math.sqrt(h) + gamma(2) ** 2 * h
-    if model == "compensated":
-        # First-order 2u stays; only the higher-order tail concentrates.
-        return 2.0 * u + lam * u * u * math.sqrt(n) + _compensated_tail(n)
     raise ValueError(f"unknown bound model {model!r}")
 
 
@@ -160,8 +131,9 @@ def coefficient(
     """The bound coefficient ``c(n)``: ``|error| <= c(n) * sum|x_i|``.
 
     ``model`` is a bound-model name (``exact`` / ``recursive`` /
-    ``pairwise`` / ``compensated``) — engine specs carry their model in
-    the registry.  ``mode`` selects the deterministic (worst-case)
+    ``pairwise``) — engine specs carry their model in the registry;
+    ``recursive`` prices the naive left-to-right ``double`` baseline,
+    which has no registry entry.  ``mode`` selects the deterministic (worst-case)
     coefficient or the probabilistic one holding with probability
     ``1 - failure_prob``.
     """

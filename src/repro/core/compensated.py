@@ -1,15 +1,15 @@
-"""Vectorized compensated summation tiers: pairwise, Kahan, Neumaier.
+"""The vectorized compensated tier: chunked pairwise summation.
 
 The exact HP engines buy order-invariance at a constant-factor cost;
-most traffic tolerates a *known* error.  This module provides the cheap
-tiers the planner (:mod:`repro.core.planner`) selects between naive
-float64 and exact HP: batch kernels whose forward error carries an
+most traffic tolerates a *known* error.  This module provides the one
+cheap tier the planner (:mod:`repro.core.planner`) selects between naive
+float64 and exact HP: a batch kernel whose forward error carries an
 a-priori bound (:mod:`repro.core.bounds`, after Hallman & Ipsen 2021)
 and whose partials merge across the parallel substrates.
 
 Partial representation
 ----------------------
-Every kernel reduces a slice to a :class:`CompPartial` —
+The kernel reduces a slice to a :class:`CompPartial` —
 ``(total, err, count, max_abs)``:
 
 ``total``
@@ -30,61 +30,41 @@ a merge tree loses nothing beyond the per-slice kernel error.  The
 merge is commutative (``two_sum`` computes the exact error, which does
 not depend on operand order) but — like every compensated scheme — not
 bit-associative: different merge *trees* may differ in the last ulp.
-The contract of these tiers is therefore **run-to-run determinism for a
+The contract of this tier is therefore **run-to-run determinism for a
 fixed order** plus bound satisfaction, not the exact engines'
 bit-identity; the engine registry advertises that distinction
 (``deterministic`` without ``exact``).
 
-Kernels
--------
+Kernel
+------
 ``pairwise_partial``
     chunked ``np.add.reduce`` (NumPy's blocked pairwise reduction) with
     chunk results merged through ``two_sum`` — error ``O(u log n)``, at
     memory bandwidth.
-``kahan_partial`` / ``neumaier_partial``
-    lane-vectorized compensated loops: the slice is viewed as rows of
-    ``LANES`` independent columns, each carrying its own running
-    compensation, so the sequential dependence is per-lane and every
-    step is a full-width NumPy operation.  Lane totals and compensations
-    fold pairwise at the end.  Error ``O(u)`` in the mass, independent
-    of ``n`` to first order.
 
-``neumaier_partial`` additionally consults :mod:`repro.core.native` for
-a compiled scalar kernel (C extension -> pure ladder):
-the compiled loop is classic sequential Neumaier — same advertised
-bound, fewer passes over memory.  Compiled and pure backends are *not*
-bit-interchangeable here (unlike the exact engines): each is
-deterministic for a fixed order, and both respect the advertised bound,
-which is what the regression gate checks.
+Pairwise is the only inexact tier.  An ``O(u)`` Kahan or Neumaier tier
+would beat its bound only for targets in a window under 2x wide just
+above ``2u``, where the exact ``small`` engine is as fast on the
+compiled backend.  The serial Kahan and Neumaier float references live
+in :mod:`repro.summation.compensated`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.observability.profile import phase as _phase
-from repro.summation.compensated import kahan_sum, neumaier_sum, two_sum
+from repro.summation.compensated import two_sum
 
 __all__ = [
-    "LANES",
     "CompPartial",
     "IDENTITY",
-    "KERNELS",
-    "compensated_sum",
     "finalize_partial",
-    "kahan_partial",
     "merge_partials",
-    "neumaier_partial",
     "pairwise_partial",
 ]
-
-#: Lane width of the vectorized Kahan/Neumaier loops.  Wide enough that
-#: each row step is a full-throughput NumPy operation on 4M-element
-#: batches, small enough that the scalar tail (< LANES elements) and the
-#: cross-lane fold stay negligible.
-LANES = 4096
 
 _DEFAULT_CHUNK = 1 << 20
 
@@ -159,118 +139,3 @@ def pairwise_partial(
             )
             out = merge_partials(out, part)
     return out
-
-
-def _lane_compensated(
-    xs: np.ndarray, scalar_fallback: Callable, neumaier: bool
-) -> CompPartial:
-    """Shared lane-vectorized body of the Kahan and Neumaier kernels.
-
-    Rows of ``LANES`` columns run the compensated recurrence with
-    vector operations; the < LANES tail goes through the scalar loop
-    and merges in error-free.
-    """
-    rows = xs.size // LANES
-    head = IDENTITY
-    if rows:
-        body = xs[: rows * LANES].reshape(rows, LANES)
-        total = np.zeros(LANES, dtype=np.float64)
-        comp = np.zeros(LANES, dtype=np.float64)
-        if neumaier:
-            for r in range(rows):
-                row = body[r]
-                t = total + row
-                # Neumaier: compensate from whichever operand dominates.
-                comp += np.where(
-                    np.abs(total) >= np.abs(row),
-                    (total - t) + row,
-                    (row - t) + total,
-                )
-                total = t
-            lane_err = float(np.add.reduce(comp))
-        else:
-            for r in range(rows):
-                y = body[r] - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            # Kahan's pending compensation is the amount ``total``
-            # overshoots, so it folds back negated.
-            lane_err = -float(np.add.reduce(comp))
-        head = CompPartial(
-            float(np.add.reduce(total)),
-            lane_err,
-            rows * LANES,
-            float(np.max(np.abs(body))),
-        )
-    tail = xs[rows * LANES :]
-    if tail.size:
-        head = merge_partials(
-            head,
-            CompPartial(
-                float(scalar_fallback(tail.tolist())),
-                0.0,
-                tail.size,
-                float(np.max(np.abs(tail))),
-            ),
-        )
-    return head
-
-
-def kahan_partial(xs: np.ndarray, chunk: int = _DEFAULT_CHUNK) -> CompPartial:
-    """Lane-vectorized Kahan (1965) summation; ``chunk`` is accepted for
-    engine-signature uniformity (the lane layout already streams)."""
-    xs = _as_batch(xs)
-    if not xs.size:
-        return IDENTITY
-    with _phase("compensated.kahan"):
-        return _lane_compensated(xs, kahan_sum, neumaier=False)
-
-
-def neumaier_partial(
-    xs: np.ndarray, chunk: int = _DEFAULT_CHUNK, backend: str = "auto"
-) -> CompPartial:
-    """Lane-vectorized Neumaier summation, with an optional compiled
-    scalar kernel through the :mod:`repro.core.native` ladder.
-
-    ``backend="pure"`` pins the lane-vectorized NumPy path (also what
-    ``REPRO_FORCE_PURE=1`` yields); ``"auto"`` takes the compiled kernel
-    when the ladder provides one.  Both are deterministic for a fixed
-    order and meet the same advertised bound; they are not bit-identical
-    to each other (compensated tiers carry no bit-identity contract).
-    """
-    xs = _as_batch(xs)
-    if not xs.size:
-        return IDENTITY
-    if backend != "pure":
-        from repro.core import native as _native
-
-        kern = _native.resolve("auto" if backend == "auto" else backend)
-        if kern.neumaier_partial is not None:
-            with _phase("compensated.neumaier"):
-                total, err, max_abs = kern.neumaier_partial(xs)
-                return CompPartial(total, err, xs.size, max_abs)
-    with _phase("compensated.neumaier"):
-        return _lane_compensated(xs, neumaier_sum, neumaier=True)
-
-
-#: Kernel dispatch used by the engine registry and the parallel adapter.
-KERNELS: dict[str, Callable[..., CompPartial]] = {
-    "pairwise": pairwise_partial,
-    "kahan": kahan_partial,
-    "neumaier": neumaier_partial,
-}
-
-
-def compensated_sum(
-    xs: np.ndarray, kernel: str = "neumaier", chunk: int = _DEFAULT_CHUNK
-) -> float:
-    """One-call compensated sum through a named kernel."""
-    try:
-        fn = KERNELS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown compensated kernel {kernel!r}; "
-            f"pick one of {'/'.join(KERNELS)}"
-        ) from None
-    return finalize_partial(fn(xs, chunk))

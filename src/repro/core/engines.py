@@ -28,11 +28,11 @@ alias ``hp-superacc``)
     The original word-matrix reference engine
     (:mod:`repro.core.vectorized`), ``O(n*N)`` work — the paper's
     representation and the oracle.
-``comp-pairwise`` (alias ``pairwise``), ``comp-kahan``, ``comp-neumaier``
-    The compensated tiers (:mod:`repro.core.compensated`): cheap,
-    bounded-error float64 kernels the accuracy planner
+``comp-pairwise`` (alias ``pairwise``)
+    The compensated tier (:mod:`repro.core.compensated`): a cheap,
+    bounded-error float64 kernel the accuracy planner
     (:mod:`repro.core.planner`) selects when a request's target
-    tolerates them.
+    tolerates it.
 
 Engines are **not** all exact anymore: capability introspection
 distinguishes three independent guarantees a consumer can gate on.
@@ -44,7 +44,7 @@ distinguishes three independent guarantees a consumer can gate on.
 ``spec.deterministic``
     a fixed summand order reproduces the same bits run-to-run on the
     same backend — true for every registered engine, including the
-    compensated tiers (whose contract is bound satisfaction plus
+    compensated tier (whose contract is bound satisfaction plus
     fixed-order determinism, not bit-identity).
 ``spec.order_invariant``
     any permutation of the summands yields the same bits — the paper's
@@ -117,8 +117,7 @@ class EngineSpec:
     bound_model:
         Name of this engine's a-priori error coefficient in
         :mod:`repro.core.bounds` (``"exact"`` / ``"pairwise"`` /
-        ``"compensated"`` / ``"recursive"``) — what the planner prices
-        eligibility with.
+        ``"recursive"``) — what the planner prices eligibility with.
     """
 
     name: str
@@ -248,8 +247,8 @@ def batch_words(
     """Engine total wrapped into HP words — the shared dispatch tail of
     :func:`repro.core.vectorized.batch_sum_doubles`.
 
-    Exact engines produce the words of the exact sum.  Inexact
-    (compensated) engines produce the words *of their float64 result* —
+    Exact engines produce the words of the exact sum.  The inexact
+    (compensated) engine produces the words *of its float64 result* —
     an exact encoding of an approximate value, so the return type stays
     uniform while the ``exact`` capability keeps the two cases
     distinguishable to gates.
@@ -333,27 +332,19 @@ register(
 )
 
 
-def _comp_total(kernel: str):
-    def float_total(xs, chunk):
-        from repro.core.compensated import compensated_sum
+def _comp_total(xs, chunk):
+    from repro.core.compensated import finalize_partial, pairwise_partial
 
-        return compensated_sum(xs, kernel=kernel, chunk=chunk)
-
-    return float_total
+    return finalize_partial(pairwise_partial(xs, chunk))
 
 
-def _comp_adapter(kernel: str):
-    def make_adapter(params=None, chunk=1 << 20):
-        # Compensated tiers carry no HP format; the params slot exists
-        # for factory-signature uniformity with the exact adapters.
-        from repro.parallel.methods import CompensatedMethod
+def _comp_adapter(params=None, chunk=1 << 20):
+    # The compensated tier carries no HP format; the params slot exists
+    # for factory-signature uniformity with the exact adapters.
+    from repro.parallel.methods import CompensatedMethod
 
-        return CompensatedMethod(kernel, chunk=chunk)
+    return CompensatedMethod(chunk=chunk)
 
-    return make_adapter
-
-
-_COMP_CAPS = frozenset({"deterministic", "mergeable-partials", "bounded-error"})
 
 register(
     EngineSpec(
@@ -364,43 +355,12 @@ register(
         ),
         scaled_total=None,
         adapter_name="comp-pairwise",
-        make_adapter=_comp_adapter("pairwise"),
-        capabilities=_COMP_CAPS,
+        make_adapter=_comp_adapter,
+        capabilities=frozenset(
+            {"deterministic", "mergeable-partials", "bounded-error"}
+        ),
         aliases=("pairwise",),
-        float_total=_comp_total("pairwise"),
+        float_total=_comp_total,
         bound_model="pairwise",
-    )
-)
-
-register(
-    EngineSpec(
-        name="comp-kahan",
-        summary=(
-            "lane-vectorized Kahan compensated sum, O(u) bound "
-            "(repro.core.compensated)"
-        ),
-        scaled_total=None,
-        adapter_name="comp-kahan",
-        make_adapter=_comp_adapter("kahan"),
-        capabilities=_COMP_CAPS,
-        float_total=_comp_total("kahan"),
-        bound_model="compensated",
-    )
-)
-
-register(
-    EngineSpec(
-        name="comp-neumaier",
-        summary=(
-            "lane-vectorized Neumaier compensated sum, optional compiled "
-            "backend, O(u) bound (repro.core.compensated)"
-        ),
-        scaled_total=None,
-        adapter_name="comp-neumaier",
-        make_adapter=_comp_adapter("neumaier"),
-        capabilities=_COMP_CAPS | {"compiled-backend"},
-        aliases=("neumaier",),
-        float_total=_comp_total("neumaier"),
-        bound_model="compensated",
     )
 )

@@ -114,19 +114,11 @@ class KernelSet:
     * ``propagate(chunks)`` — one full sequential carry sweep leaving
       the canonical decomposition (non-negative 32-bit low windows,
       signed top chunk).
-    * ``neumaier_partial(xs)`` — sequential Neumaier compensated sum
-      over ``xs`` (float64), returning ``(total, err, max_abs)`` for
-      :func:`repro.core.compensated.neumaier_partial`.  Unlike the
-      integer kernels above this one carries **no** bit-identity
-      contract against the pure path (the pure tier is lane-vectorized);
-      each backend is deterministic for a fixed order and meets the same
-      advertised error bound (:mod:`repro.core.bounds`).
     """
 
     name: str
     smallacc_scatter: Callable | None
     propagate: Callable | None
-    neumaier_partial: Callable | None = None
 
     @property
     def compiled(self) -> bool:
@@ -254,31 +246,6 @@ int64_t repro_smallacc_scatter(const double *xs, int64_t n, int64_t frac_bits,
     repro_smallacc_propagate(chunks, nchunks);
     return -1;
 }
-
-/* Sequential Neumaier (1974) compensated sum with a running max|x_i|:
-   out[0] = running total, out[1] = pending compensation (to be *added*
-   at finalization), out[2] = max|x_i|.  The branch credits the rounding
-   error from whichever operand dominates in magnitude, so large-cancel
-   inputs keep their low bits in the compensation term. */
-void repro_neumaier_partial(const double *xs, int64_t n, double *out) {
-    double total = 0.0, comp = 0.0, max_abs = 0.0;
-    int64_t i;
-    for (i = 0; i < n; i++) {
-        double x = xs[i];
-        double ax = (x < 0.0) ? -x : x;
-        double at = (total < 0.0) ? -total : total;
-        double t = total + x;
-        if (at >= ax)
-            comp += (total - t) + x;
-        else
-            comp += (x - t) + total;
-        total = t;
-        if (ax > max_abs) max_abs = ax;
-    }
-    out[0] = total;
-    out[1] = comp;
-    out[2] = max_abs;
-}
 """
 
 
@@ -337,18 +304,11 @@ def _build_cext() -> KernelSet:
     scatter.restype = c_i64
     lib.repro_smallacc_propagate.argtypes = [addr, c_i64]
     lib.repro_smallacc_propagate.restype = None
-    lib.repro_neumaier_partial.argtypes = [addr, c_i64, addr]
-    lib.repro_neumaier_partial.restype = None
 
     def propagate(chunks) -> None:
         lib.repro_smallacc_propagate(chunks.ctypes.data, chunks.shape[0])
 
-    def neumaier_partial(xs) -> tuple:
-        out = (ctypes.c_double * 3)()
-        lib.repro_neumaier_partial(xs.ctypes.data, xs.shape[0], out)
-        return (out[0], out[1], out[2])
-
-    return KernelSet("cext", scatter, propagate, neumaier_partial)
+    return KernelSet("cext", scatter, propagate)
 
 
 # ---------------------------------------------------------------------------

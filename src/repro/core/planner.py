@@ -24,10 +24,10 @@ when the planner escalates to exact HP.
 
 Cost model
 ----------
-Eligible engines rank by ``unit_cost * n`` with per-summand unit costs
-from :data:`repro.perfmodel.costs.PLANNER_UNIT_COSTS`, optionally refit
-from a ``repro profile --calibrate`` measurement (PR 6) via
-:func:`repro.perfmodel.costs.planner_unit_costs`.
+Eligible engines rank by ``unit_cost * n`` with the measured
+per-summand unit costs in
+:data:`repro.perfmodel.costs.PLANNER_UNIT_COSTS`.  An engine without a
+cost entry is not planned.
 
 Escalation
 ----------
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -179,15 +179,11 @@ def plan(
     target: float,
     mode: str = "deterministic",
     failure_prob: float = 1e-9,
-    costs: Mapping[str, float] | None = None,
-    measured: Mapping[str, float] | None = None,
 ) -> EnginePlan:
     """Rank eligible engines by predicted cost; return the decision.
 
     ``target`` is the mass-relative budget (see the module docstring);
-    ``target = 0`` demands exactness.  ``costs`` overrides the
-    per-summand unit-cost table; ``measured`` refits it from a
-    ``repro profile --calibrate`` mapping instead.
+    ``target = 0`` demands exactness.
     """
     if not (target >= 0.0):  # also rejects NaN
         raise ValueError(
@@ -195,10 +191,8 @@ def plan(
         )
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if costs is None:
-        from repro.perfmodel.costs import planner_unit_costs
+    from repro.perfmodel.costs import PLANNER_UNIT_COSTS as costs
 
-        costs = planner_unit_costs(measured)
     distrusted = escalated_engines()
 
     rows = []
@@ -306,8 +300,6 @@ def planned_sum(
     failure_prob: float = 1e-9,
     params=None,
     chunk: int = 1 << 20,
-    costs: Mapping[str, float] | None = None,
-    measured: Mapping[str, float] | None = None,
 ) -> PlannedSum:
     """Plan and execute one summation under an accuracy target.
 
@@ -320,10 +312,7 @@ def planned_sum(
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim != 1:
         raise ValueError(f"expected 1-D input, got shape {xs.shape}")
-    decision = plan(
-        xs.size, target, mode=mode, failure_prob=failure_prob,
-        costs=costs, measured=measured,
-    )
+    decision = plan(xs.size, target, mode=mode, failure_prob=failure_prob)
     spec = _engines.get(decision.engine)
     words = None
     if spec.exact:

@@ -257,8 +257,8 @@ def batch_sum_doubles(
     ``"words"``
         The original word-matrix path (``batch_from_double`` +
         column sums): ``O(n * N)`` work, kept as the reference engine.
-    ``"comp-pairwise"`` / ``"comp-kahan"`` / ``"comp-neumaier"``
-        Bounded-error compensated tiers (:mod:`repro.core.compensated`):
+    ``"comp-pairwise"`` (alias ``"pairwise"``)
+        The bounded-error compensated tier (:mod:`repro.core.compensated`):
         the float result is encoded exactly into HP words, but the value
         itself carries the tier's a-priori error bound rather than
         exactness.

@@ -9,12 +9,12 @@ assert once in CI.  :class:`DriftMonitor` does that, live:
 
 * **Shadow sums.**  For a sampled fraction of traffic batches the
   monitor re-sums the (capped) batch two ways — the float64 naive
-  left-to-right path and the correctly-rounded reference
-  (``math.fsum``) — and publishes the delivered value's and the
-  shadow's distance from the reference as ``drift.ulp_error`` /
-  ``drift.relative_error`` histograms, labeled by path.  For an exact
-  method the delivered path's ULP error is zero *by construction*; a
-  nonzero value is a production-severity bug.
+  left-to-right path and the correctly-rounded reference (the exact
+  ``small`` engine, :func:`_exact_reference`) — and publishes the
+  delivered value's and the shadow's distance from the reference as
+  ``drift.ulp_error`` / ``drift.relative_error`` histograms, labeled by
+  path.  For an exact method the delivered path's ULP error is zero
+  *by construction*; a nonzero value is a production-severity bug.
 * **Permutation probes.**  Every ``permute_period``-th sample the batch
   is re-summed in a shuffled order through the same adapter and
   compared bitwise.  Exact adapters must match
@@ -28,7 +28,7 @@ assert once in CI.  :class:`DriftMonitor` does that, live:
   (:func:`repro.core.planner.planned_sum`) reports through
   :meth:`DriftMonitor.observe_planned`: the delivered value is checked
   against the plan's *promised* a-priori bound
-  ``|value - fsum| <= coefficient * sum|x_i|``.  The consumed fraction
+  ``|value - exact| <= coefficient * sum|x_i|``.  The consumed fraction
   of the budget lands in the ``planner.bound_margin`` histogram; a
   breach counts ``planner.bound_breaches``, fires the ``on_breach``
   callbacks, and escalates the engine
@@ -77,6 +77,30 @@ REL_BUCKETS = (0.0, 1e-16, 1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 1.0)
 #: Bucket ladder for the planner bound margin: the fraction of the
 #: promised error budget actually consumed (>= 1.0 is a breach).
 MARGIN_BUCKETS = (0.0, 1e-6, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+def _exact_reference(xs: np.ndarray) -> float:
+    """The correctly rounded sum of ``xs``: ``±inf`` when the exact sum
+    passes DBL_MAX, the IEEE float sum when ``xs`` holds NaN/inf.
+
+    The exact ``small`` engine in the data-derived format keeps every
+    partial sum exact, so ``[1e308, 1e308, -1e308]`` gives ``1e308``
+    where ``math.fsum`` raises on the intermediate overflow.
+    """
+    from repro.core.engines import scaled_total
+    from repro.core.params import data_params
+    from repro.errors import ConversionOverflowError
+
+    try:
+        params = data_params(xs)
+    except ConversionOverflowError:
+        # Non-finite summands: the IEEE sum (NaN or ±inf) is the answer.
+        return float(np.add.reduce(xs))
+    scaled = scaled_total(xs, params, 1 << 20, "small")
+    try:
+        return scaled / params.scale
+    except OverflowError:
+        return math.inf if scaled > 0 else -math.inf
 
 
 def _relative_error(value: float, reference: float) -> float:
@@ -190,7 +214,7 @@ class DriftMonitor:
 
         # Correctly-rounded reference and the float64 naive shadow:
         # the left-to-right recursion of naive_sum at NumPy speed.
-        reference = math.fsum(sample)
+        reference = _exact_reference(sample)
         shadow = ordered_sum(sample)
 
         path = method.name
@@ -292,8 +316,9 @@ class DriftMonitor:
         """Validate one planner-routed sum against its promised bound.
 
         ``plan`` is the :class:`repro.core.planner.EnginePlan` that chose
-        the engine; the promise is ``|value - fsum(data)| <=
-        plan.bound.coefficient * sum|data|``.  Batches longer than
+        the engine; the promise is ``|value - exact| <=
+        plan.bound.coefficient * sum|data|``, with both sums taken by
+        :func:`_exact_reference`.  Batches longer than
         ``sample_limit`` are validated over a prefix by re-running the
         chosen engine on it via ``recompute`` (bound coefficients are
         nondecreasing in ``n``, so the full-``n`` coefficient upper-
@@ -325,9 +350,14 @@ class DriftMonitor:
             if recompute is None:
                 return None
             value = float(recompute(sample))
-        reference = math.fsum(sample)
-        mass = math.fsum(np.abs(sample))
-        bound_abs = plan.bound.coefficient * mass
+        reference = _exact_reference(sample)
+        # The mass may pass DBL_MAX (inf); a zero coefficient still
+        # promises a zero budget rather than 0 * inf = NaN.
+        coefficient = plan.bound.coefficient
+        bound_abs = (
+            coefficient * _exact_reference(np.abs(sample))
+            if coefficient else 0.0
+        )
         err = abs(value - reference)
         if math.isnan(err):
             err = math.inf

@@ -13,6 +13,7 @@ PE counts for reproducibility checks is one loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -21,6 +22,7 @@ import numpy as np
 
 from repro.core import engines
 from repro.core.params import HPParams
+from repro.core.superacc import check_finite
 from repro.hallberg.params import HallbergParams
 from repro.observability import journal as _journal
 from repro.observability import metrics as _obs
@@ -194,6 +196,28 @@ def _dispatch(
     schedule: Schedule | None,
     kwargs: dict,
 ) -> tuple[float, tuple | None, int]:
+    """:func:`_route`, then one NaN/inf policy for every adapter and
+    substrate: NaN/inf summands raise the exact engines' domain error.
+
+    Only a non-finite result is checked.  A NaN/inf summand always makes
+    a float sum non-finite (and the exact engines reject it themselves),
+    so finite inputs pay nothing; a finite input whose ``double`` sum
+    overflows still returns ``inf``."""
+    value, words, pes = _route(data, adapter, substrate, pes, schedule,
+                               kwargs)
+    if not math.isfinite(value):
+        check_finite(data)
+    return value, words, pes
+
+
+def _route(
+    data: np.ndarray,
+    adapter: ReductionMethod,
+    substrate: str,
+    pes: int,
+    schedule: Schedule | None,
+    kwargs: dict,
+) -> tuple[float, tuple | None, int]:
     """Route to the substrate driver; returns (value, words, pes), where
     ``words`` is the exact bit pattern (``None`` for inexact methods).
 
@@ -256,7 +280,7 @@ def _dispatch(
         elif name.startswith("comp-"):
             raise ValueError(
                 f"substrate 'gpu' has no {name} kernel; run the "
-                "compensated tiers on serial/threads/procs/mpi/phi"
+                "compensated tier on serial/threads/procs/mpi/phi"
             )
         else:
             g = gpu_sum(data, name, num_threads=pes,

@@ -127,7 +127,8 @@ class DoubleMethod(ReductionMethod[float]):
 
 
 class CompensatedMethod(ReductionMethod[tuple]):
-    """Bounded-error compensated tiers on any substrate.
+    """The bounded-error compensated tier (chunked pairwise) on any
+    substrate.
 
     Partials are :class:`repro.core.compensated.CompPartial` tuples —
     ``(total, err, count, max_abs)`` — which pickle through the procs
@@ -138,24 +139,19 @@ class CompensatedMethod(ReductionMethod[tuple]):
     (:mod:`repro.core.bounds`).  Not exact: different combine *trees*
     may differ in the last ulp — the contract is bound satisfaction plus
     run-to-run determinism for a fixed order, which is what the
-    regression gate checks for these tiers.
+    regression gate checks for this tier.
     """
 
-    def __init__(self, kernel: str = "neumaier", chunk: int = 1 << 20) -> None:
-        if kernel not in _comp.KERNELS:
-            raise ValueError(
-                f"unknown compensated kernel {kernel!r}; "
-                f"pick one of {'/'.join(_comp.KERNELS)}"
-            )
-        self.kernel = kernel
+    name = "comp-pairwise"
+
+    def __init__(self, chunk: int = 1 << 20) -> None:
         self.chunk = chunk
-        self.name = f"comp-{kernel}"
 
     def identity(self) -> tuple:
         return _comp.IDENTITY
 
     def local_reduce(self, xs: np.ndarray) -> tuple:
-        return _comp.KERNELS[self.kernel](
+        return _comp.pairwise_partial(
             np.asarray(xs, dtype=np.float64), self.chunk
         )
 

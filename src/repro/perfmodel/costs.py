@@ -27,7 +27,7 @@ from repro.hallberg.params import HallbergParams
 
 __all__ = ["OpCounts", "MemTraffic", "hp_ops", "hallberg_ops", "double_ops",
            "hp_mem", "hallberg_mem", "double_mem",
-           "PLANNER_UNIT_COSTS", "planner_unit_costs"]
+           "PLANNER_UNIT_COSTS"]
 
 
 @dataclass(frozen=True)
@@ -94,44 +94,15 @@ def double_mem() -> MemTraffic:
 
 
 #: Per-summand engine costs in "double-add units" (a naive ``np.sum``
-#: pass = 1.0), the static prior the accuracy planner ranks engines by.
-#: The compensated tiers are structural estimates from their vector-op
-#: counts (pairwise is one reduce pass; Kahan ~6 vector ops per lane
-#: row; Neumaier ~9 with the dominance branch); the exact-engine entries
-#: reflect the measured serial ratios in the BENCH_* trajectory on this
-#: repo's pure/compiled backends.  :func:`planner_unit_costs` refits the
-#: exact entries from a ``repro profile --calibrate`` measurement when
-#: one is supplied.
+#: pass = 1.0), the table the accuracy planner ranks engines by.  Each
+#: entry is one measurement: ``batch_sum_doubles(x, HPParams(8, 4),
+#: method=engine)`` over 4,194,304 uniform(-1, 1) doubles, best of 7
+#: (3 for ``words``), divided by the best ``np.sum`` over the same
+#: array in the same run, compiled ``cext`` backend, on a 2-vCPU x86-64
+#: container.  The ranking is what the planner uses, and it is the same
+#: on the pure backend (``small`` is then ~250x, still above pairwise).
 PLANNER_UNIT_COSTS: Mapping[str, float] = {
-    "comp-pairwise": 1.0,
-    "comp-kahan": 7.0,
-    "comp-neumaier": 10.0,
-    "small": 45.0,
-    "words": 260.0,
+    "comp-pairwise": 4.3,
+    "small": 7.7,
+    "words": 870.0,
 }
-
-
-def planner_unit_costs(
-    measured: Mapping[str, float] | None = None,
-) -> dict[str, float]:
-    """The planner's per-summand cost table, optionally refit.
-
-    ``measured`` is the mapping a ``repro profile --calibrate`` document
-    carries (engine key -> best-of wall seconds; see
-    :data:`repro.perfmodel.calibration.MEASURED_SCHEMA`).  When it holds
-    both ``double`` and ``hp-small``, the measured ratio re-anchors
-    the exact-engine entries — the correction PR 6's measured-anchor
-    residuals exist to absorb — while the compensated tiers stay pinned
-    to the double pass they are structurally multiples of.
-    """
-    costs = dict(PLANNER_UNIT_COSTS)
-    if not measured:
-        return costs
-    t_dbl = measured.get("double")
-    t_hp = measured.get("hp-small")
-    if not t_dbl or not t_hp or t_dbl <= 0 or t_hp <= 0:
-        return costs
-    scale = (t_hp / t_dbl) / PLANNER_UNIT_COSTS["small"]
-    for name in ("small", "words"):
-        costs[name] = PLANNER_UNIT_COSTS[name] * scale
-    return costs

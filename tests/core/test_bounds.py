@@ -15,7 +15,6 @@ import math
 import pytest
 
 from repro.core import bounds
-from repro.core import compensated
 
 
 class TestGamma:
@@ -35,6 +34,10 @@ class TestGamma:
         with pytest.raises(ValueError):
             bounds.gamma(2**54)
 
+    def test_lambda_factor(self):
+        lam = bounds.lambda_factor(1e-9)
+        assert lam == pytest.approx(math.sqrt(2 * math.log(2e9)), rel=1e-12)
+
 
 class TestCoefficient:
     def test_exact_is_zero_for_all_n(self):
@@ -47,7 +50,7 @@ class TestCoefficient:
             assert bounds.coefficient(model, 0) == 0.0
             assert bounds.coefficient(model, 1) == 0.0
 
-    @pytest.mark.parametrize("model", ["recursive", "pairwise", "compensated"])
+    @pytest.mark.parametrize("model", ["recursive", "pairwise"])
     def test_nondecreasing_in_n(self, model):
         ns = [2, 3, 10, 100, 10**4, 10**6, 2**25]
         coeffs = [bounds.coefficient(model, n) for n in ns]
@@ -60,16 +63,10 @@ class TestCoefficient:
             "recursive", n
         )
 
-    def test_compensated_beats_pairwise_at_scale(self):
-        n = 4 * 1024 * 1024
-        assert bounds.coefficient("compensated", n) < bounds.coefficient(
-            "pairwise", n
-        )
-
-    def test_compensated_is_order_u_at_4m(self):
-        # The acceptance scenario: at n = 4M the compensated coefficient
+    def test_pairwise_clears_the_4m_acceptance_target(self):
+        # The acceptance scenario: at n = 4M the pairwise coefficient
         # must clear a 1e-12 mass-relative target with huge margin.
-        coeff = bounds.coefficient("compensated", 4 * 1024 * 1024)
+        coeff = bounds.coefficient("pairwise", 4 * 1024 * 1024)
         assert coeff < 1e-14
         assert coeff > bounds.UNIT_ROUNDOFF  # but it is not zero
 
@@ -118,21 +115,10 @@ class TestErrorBound:
         assert b.absolute(2.0) == pytest.approx(2 * b.coefficient)
 
     def test_absolute_from_max(self):
-        b = bounds.bound("compensated", 1000)
+        b = bounds.bound("pairwise", 1000)
         assert b.absolute_from_max(3.0) == pytest.approx(
             b.coefficient * bounds.mass_upper_bound(1000, 3.0)
         )
 
     def test_mass_upper_bound(self):
         assert bounds.mass_upper_bound(10, 2.5) == 25.0
-
-
-class TestLaneSync:
-    def test_compensated_model_covers_the_lane_width(self):
-        # bounds sizes the compensated model's gamma term from the lane
-        # width; the constant must track the kernel's actual LANES.
-        assert bounds._COMP_LANES == compensated.LANES
-
-    def test_lambda_factor(self):
-        lam = bounds.lambda_factor(1e-9)
-        assert lam == pytest.approx(math.sqrt(2 * math.log(2e9)), rel=1e-12)

@@ -1,12 +1,11 @@
 """Compensated-tier contracts (:mod:`repro.core.compensated`).
 
-Every kernel is pinned against ``math.fsum`` within its *advertised*
-bound (:mod:`repro.core.bounds`) — on well-behaved data, ill-conditioned
-cancellation, denormals, and million-element permutations — and the
-partial-merge algebra is pinned as the substrate adapters rely on it:
-identity, commutativity, partition consistency, and run-to-run
-determinism for a fixed order.  Compiled and pure Neumaier backends are
-both held to the same bound (they carry no bit-identity contract).
+The pairwise kernel is pinned against ``math.fsum`` within its
+*advertised* bound (:mod:`repro.core.bounds`) — on well-behaved data,
+ill-conditioned cancellation, denormals, and million-element
+permutations — and the partial-merge algebra is pinned as the substrate
+adapters rely on it: identity, commutativity, partition consistency,
+and run-to-run determinism for a fixed order.
 """
 
 from __future__ import annotations
@@ -18,25 +17,22 @@ import pytest
 
 from repro.core import bounds
 from repro.core import compensated as comp
-from repro.core import native
 
-#: kernel name -> bound model the engine registry advertises for it
-MODELS = {
-    "pairwise": "pairwise",
-    "kahan": "compensated",
-    "neumaier": "compensated",
-}
+#: kernel name -> (batch kernel, bound model the registry advertises)
+TIERS = {"pairwise": (comp.pairwise_partial, "pairwise")}
+KERNELS = sorted(TIERS)
 
 
 def assert_within_bound(kernel: str, xs: np.ndarray) -> comp.CompPartial:
     """The tier's whole contract in one helper: the finalized value is
     within ``c(n) * sum|x|`` of ``math.fsum``, and the partial's count
     and ``max_abs`` are exact."""
-    partial = comp.KERNELS[kernel](np.asarray(xs, dtype=np.float64))
+    fn, model = TIERS[kernel]
+    partial = fn(np.asarray(xs, dtype=np.float64))
     value = comp.finalize_partial(partial)
     reference = math.fsum(xs)
     mass = math.fsum(np.abs(np.asarray(xs, dtype=np.float64)))
-    limit = bounds.coefficient(MODELS[kernel], len(xs)) * mass
+    limit = bounds.coefficient(model, len(xs)) * mass
     assert abs(value - reference) <= limit, (
         f"{kernel}: |{value} - {reference}| > {limit}"
     )
@@ -44,9 +40,6 @@ def assert_within_bound(kernel: str, xs: np.ndarray) -> comp.CompPartial:
     expected_max = float(np.max(np.abs(xs))) if len(xs) else 0.0
     assert partial.max_abs == expected_max
     return partial
-
-
-KERNELS = sorted(comp.KERNELS)
 
 
 class TestKernelAccuracy:
@@ -93,19 +86,20 @@ class TestKernelAccuracy:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_empty_and_singleton_and_tail_only(self, kernel):
-        assert comp.KERNELS[kernel](np.array([])) == comp.IDENTITY
-        one = comp.KERNELS[kernel](np.array([3.5]))
+        fn = TIERS[kernel][0]
+        assert fn(np.array([])) == comp.IDENTITY
+        one = fn(np.array([3.5]))
         assert comp.finalize_partial(one) == 3.5
-        # Fewer elements than one lane: the scalar-tail path alone.
-        tail = np.linspace(-1.0, 1.0, comp.LANES - 1)
+        # A short batch, well under one chunk.
+        tail = np.linspace(-1.0, 1.0, 4095)
         assert_within_bound(kernel, tail)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_fixed_order_determinism(self, kernel):
         rng = np.random.default_rng(16)
         xs = rng.standard_normal(50_000)
-        a = comp.KERNELS[kernel](xs)
-        b = comp.KERNELS[kernel](xs.copy())
+        a = TIERS[kernel][0](xs)
+        b = TIERS[kernel][0](xs.copy())
         assert a == b  # bit-identical partials, run to run
 
     def test_rejects_bad_shapes_and_chunks(self):
@@ -114,10 +108,6 @@ class TestKernelAccuracy:
         with pytest.raises(ValueError, match="chunk"):
             comp.pairwise_partial(np.zeros(4), chunk=0)
 
-    def test_compensated_sum_unknown_kernel(self):
-        with pytest.raises(ValueError, match="unknown compensated kernel"):
-            comp.compensated_sum(np.zeros(4), kernel="magic")
-
 
 class TestMergeAlgebra:
     def make(self, seed: int, n: int) -> np.ndarray:
@@ -125,13 +115,13 @@ class TestMergeAlgebra:
         return rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, size=n))
 
     def test_identity_is_neutral(self):
-        p = comp.neumaier_partial(self.make(21, 10_000))
+        p = comp.pairwise_partial(self.make(21, 10_000))
         assert comp.merge_partials(p, comp.IDENTITY) == p
         assert comp.merge_partials(comp.IDENTITY, p) == p
 
     def test_commutative_bitwise(self):
-        a = comp.neumaier_partial(self.make(22, 7_000))
-        b = comp.neumaier_partial(self.make(23, 9_000))
+        a = comp.pairwise_partial(self.make(22, 7_000))
+        b = comp.pairwise_partial(self.make(23, 9_000))
         assert comp.merge_partials(a, b) == comp.merge_partials(b, a)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -142,10 +132,11 @@ class TestMergeAlgebra:
         xs = self.make(24, 120_007)
         reference = math.fsum(xs)
         mass = math.fsum(np.abs(xs))
-        limit = bounds.coefficient(MODELS[kernel], len(xs)) * mass
+        fn, model = TIERS[kernel]
+        limit = bounds.coefficient(model, len(xs)) * mass
         for pieces in (2, 3, 8):
             parts = [
-                comp.KERNELS[kernel](piece)
+                fn(piece)
                 for piece in np.array_split(xs, pieces)
             ]
             merged = parts[0]
@@ -168,44 +159,3 @@ class TestMergeAlgebra:
         assert m.total == 1e16
         assert m.err == 1.0
         assert m.max_abs == 1e16
-
-
-class TestNeumaierBackends:
-    def test_pure_pin_matches_lane_layout(self, monkeypatch):
-        # backend="pure" must never consult the native ladder.
-        xs = np.random.default_rng(31).standard_normal(30_000)
-        monkeypatch.setattr(
-            native, "resolve", lambda *a, **k: pytest.fail(
-                "pure pin consulted the native ladder"
-            )
-        )
-        p = comp.neumaier_partial(xs, backend="pure")
-        assert p.count == xs.size
-
-    def test_compiled_and_pure_both_within_bound(self):
-        kern = native.resolve("auto")
-        if kern.neumaier_partial is None:
-            pytest.skip("no compiled neumaier kernel in this environment")
-        rng = np.random.default_rng(32)
-        xs = rng.standard_normal(200_001) * np.exp(
-            rng.uniform(-30, 30, size=200_001)
-        )
-        reference = math.fsum(xs)
-        mass = math.fsum(np.abs(xs))
-        limit = bounds.coefficient("compensated", xs.size) * mass
-        compiled = comp.finalize_partial(comp.neumaier_partial(xs))
-        pure = comp.finalize_partial(
-            comp.neumaier_partial(xs, backend="pure")
-        )
-        assert abs(compiled - reference) <= limit
-        assert abs(pure - reference) <= limit
-
-    def test_compiled_reports_exact_count_and_max(self):
-        kern = native.resolve("auto")
-        if kern.neumaier_partial is None:
-            pytest.skip("no compiled neumaier kernel in this environment")
-        xs = np.array([1.0, -8.25, 0.5, 3.0])
-        p = comp.neumaier_partial(xs)
-        assert p.count == 4
-        assert p.max_abs == 8.25
-        assert comp.finalize_partial(p) == math.fsum(xs)

@@ -1,11 +1,12 @@
 """Planner contracts (:mod:`repro.core.planner`).
 
-The two acceptance properties of the PR pinned as unit tests: a
-tolerant target (1e-12 at 4M summands) routes onto a cheap compensated
-tier, and ``target = 0`` *provably* selects an exact HP engine whose
-words are bit-identical across summand permutations.  Plus the
-escalation protocol (breach -> distrust -> reroute -> reset) and
-conformance of the decision under both native backends.
+Two acceptance properties pinned as unit tests: a tolerant target (1e-12
+at 4M summands) routes onto the cheap compensated tier, and
+``target = 0`` *provably* selects an exact HP engine whose words are
+bit-identical across summand permutations.  Plus the whole decision
+grid (pairwise exactly where its bound meets the target, ``small``
+otherwise), the escalation protocol (breach -> distrust -> reroute ->
+reset) and conformance of the decision under both native backends.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 from repro.core import bounds, native, planner
 from repro.core import engines
-from repro.perfmodel.costs import PLANNER_UNIT_COSTS, planner_unit_costs
+from repro.perfmodel.costs import PLANNER_UNIT_COSTS
 
 N_ACCEPT = 4 * 1024 * 1024
 
@@ -73,20 +74,36 @@ class TestPlan:
         with pytest.raises(ValueError, match="n must be"):
             planner.plan(-1, 1e-12)
 
-    def test_costs_override_changes_ranking(self):
-        costs = dict(PLANNER_UNIT_COSTS)
-        costs["comp-pairwise"] = 1e9  # make the usual winner exorbitant
-        decision = planner.plan(N_ACCEPT, 1e-12, costs=costs)
-        assert decision.engine != "comp-pairwise"
 
-    def test_measured_refit_scales_exact_tiers(self):
-        # A calibration where hp-small is only 2x the double baseline
-        # shrinks the exact engines' unit costs proportionally.
-        costs = planner_unit_costs({"double": 1.0, "hp-small": 2.0})
-        assert costs["small"] == pytest.approx(2.0)
-        assert costs["words"] < PLANNER_UNIT_COSTS["words"]
-        # Inexact tiers are not refit by the HP calibration pair.
-        assert costs["comp-pairwise"] == PLANNER_UNIT_COSTS["comp-pairwise"]
+#: Request sizes of the decision grid: the perfbench ``calls`` range,
+#: the 4M acceptance scenario and the 16M bench scale.
+GRID_N = (1_000, 100_000, N_ACCEPT, 16 * 1024 * 1024)
+
+#: Targets from 1e-16 to 1e-6, four per decade, plus 2e-15 and 3e-15:
+#: just above 2u, where an O(u) tier's bound would undercut pairwise's.
+GRID_TARGETS = sorted(
+    {10.0 ** (k / 4) for k in range(-64, -23)} | {2e-15, 3e-15}
+)
+
+
+class TestDecisionGrid:
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_pairwise_exactly_where_its_bound_meets_the_target(self, n):
+        coeff = bounds.coefficient("pairwise", n)
+        for target in (*GRID_TARGETS, coeff, math.nextafter(coeff, 0.0)):
+            expected = "comp-pairwise" if coeff <= target else "small"
+            assert planner.plan(n, target).engine == expected, target
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_zero_target_is_small(self, n):
+        assert planner.plan(n, 0.0).engine == "small"
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_explain_lists_the_registered_costed_engines(self, n):
+        costed = {s.name for s in engines.specs()} & set(PLANNER_UNIT_COSTS)
+        assert costed == {"comp-pairwise", "small", "words"}
+        table = planner.plan(n, 1e-12).explain().splitlines()[3:]
+        assert sorted(row.split()[0] for row in table) == sorted(costed)
 
 
 class TestEscalation:
@@ -102,8 +119,9 @@ class TestEscalation:
         assert row.verdict == "escalated away"
 
     def test_escalating_everything_falls_back_to_exact(self):
-        for name in ("comp-pairwise", "comp-kahan", "comp-neumaier"):
-            planner.record_breach(name)
+        for spec in engines.specs():
+            if not spec.exact:
+                planner.record_breach(spec.name)
         decision = planner.plan(N_ACCEPT, 1e-12)
         assert decision.exact
 
@@ -185,9 +203,8 @@ class TestBackendConformance:
         native._reset_for_tests()
 
     def test_plan_identical_under_pure(self, pure_env):
-        # Bounds are backend-independent by design: the compensated
-        # coefficient covers both the lane-vectorized and the compiled
-        # scalar kernel, so the decision cannot flip with the backend.
+        # Bounds and costs are backend-independent constants, so the
+        # decision cannot flip with the backend.
         pure = planner.plan(N_ACCEPT, 1e-12)
         assert pure.engine == "comp-pairwise"
         assert [c.engine for c in pure.candidates] == [

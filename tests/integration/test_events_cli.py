@@ -131,6 +131,25 @@ class TestJournalOut:
         (audit,) = [e for e in events if e["event"] == "bound.check"]
         assert audit["breached"] is False and audit["error"] == 0.0
 
+    def test_planned_audit_survives_partial_sums_past_dbl_max(
+        self, tmp_path, capsys
+    ):
+        """The journal's audit reference must not overflow where the
+        exact sum does not: ``[1e308, 1e308, -1e308]`` prints 1e+308
+        with or without ``--journal-out``, and audits as no breach."""
+        values = tmp_path / "ov.npy"
+        np.save(values, np.array([1e308, 1e308, -1e308]))
+        spill = tmp_path / "journal.jsonl"
+        code, out, _ = run_cli(
+            capsys, "sum", str(values), "--target-accuracy", "0",
+            "--journal-out", str(spill),
+        )
+        assert code == 0 and out == "1e+308\n"
+        events = [json.loads(line) for line in
+                  spill.read_text().splitlines()]
+        (audit,) = [e for e in events if e["event"] == "bound.check"]
+        assert audit["breached"] is False and audit["error"] == 0.0
+
     def test_planned_serial_run_journals_one_trace(
         self, tmp_path, capsys, data_file
     ):

@@ -117,6 +117,14 @@ def test_inexact_engines_print_no_words(tmp_path):
         code, out, _ = run("sum", path, "--words", "--engine",
                            "comp-pairwise", *flags)
         assert code == 0 and len(out.splitlines()) == 1
+    # comp-pairwise is the one inexact engine: the removed O(u) tiers
+    # and their alias are unknown engine names.
+    for gone in ("comp-kahan", "comp-neumaier", "neumaier"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(["sum", path, "--engine", gone])
+        assert exc.value.code == 2
+        assert f"argument --engine: invalid choice: '{gone}'" in err.getvalue()
 
 
 def test_procs_matches_serial_engine(tmp_path, rng):

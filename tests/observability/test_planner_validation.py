@@ -39,7 +39,7 @@ def make_plan(engine: str, n: int, coefficient: float) -> planner.EnginePlan:
         mode="deterministic",
         engine=engine,
         bound=bounds.ErrorBound(
-            model="compensated", mode="deterministic", n=n,
+            model="pairwise", mode="deterministic", n=n,
             coefficient=coefficient,
         ),
         predicted_cost=float(n),
@@ -54,7 +54,7 @@ def counter_value(name: str, **labels) -> float:
 class TestObservePlanned:
     def test_disarmed_is_noop(self):
         xs = np.ones(10)
-        plan = make_plan("comp-neumaier", 10, 1e-15)
+        plan = make_plan("comp-pairwise", 10, 1e-15)
         assert MONITOR.observe_planned(xs, 10.0, plan) is None
 
     def test_within_bound_records_margin(self):
@@ -82,21 +82,21 @@ class TestObservePlanned:
             xs = np.ones(100)
             # A lying plan: promises essentially zero error from an
             # inexact tier, then delivers a value that is off by 1.
-            plan = make_plan("comp-neumaier", 100, 1e-30)
+            plan = make_plan("comp-pairwise", 100, 1e-30)
             record = MONITOR.observe_planned(xs, 101.0, plan)
         finally:
             MONITOR.on_breach.clear()
         assert record["breached"]
         assert record["margin"] > 1.0
         assert counter_value(
-            "planner.bound_breaches", engine="comp-neumaier"
+            "planner.bound_breaches", engine="comp-pairwise"
         ) == 1
-        assert planner.escalated_engines() == {"comp-neumaier": 1}
+        assert planner.escalated_engines() == {"comp-pairwise": 1}
         assert len(events) == 1 and events[0]["kind"] == "planner_bound"
         # The escalation reroutes the next plan off the breached tier.
         assert planner.plan(
             4 * 1024 * 1024, 1e-12
-        ).engine != "comp-neumaier"
+        ).engine != "comp-pairwise"
 
     def test_exact_plan_has_zero_budget(self):
         arm()
@@ -110,13 +110,37 @@ class TestObservePlanned:
         assert planner.escalated_engines() == {}
         assert planner.plan(10, 0.0).engine  # still servable
 
+    def test_partial_sums_past_dbl_max_audit_exactly(self):
+        # The exact sum is 1e308, but the left-to-right partial sum and
+        # the mass sum|x| = 3e308 pass DBL_MAX: the reference must stay
+        # exact and the exact plan's zero budget must stay zero, not NaN.
+        arm()
+        xs = np.array([1e308, 1e308, -1e308])
+        record = MONITOR.observe_planned(xs, 1e308, make_plan("small", 3, 0.0))
+        assert record["reference"] == 1e308
+        assert record["error"] == 0.0 and record["bound"] == 0.0
+        assert record["margin"] == 0.0 and not record["breached"]
+        # An inexact plan's budget over an infinite mass is infinite.
+        record = MONITOR.observe_planned(
+            xs, 1e308, make_plan("comp-pairwise", 3, 1e-15)
+        )
+        assert record["bound"] == math.inf and not record["breached"]
+
+    def test_reference_of_an_overflowing_exact_sum_is_inf(self):
+        arm()
+        xs = np.array([1e308, 1e308])
+        record = MONITOR.observe_planned(
+            xs, math.inf, make_plan("comp-pairwise", 2, 1e-15)
+        )
+        assert record["reference"] == math.inf
+
     def test_capped_batch_validates_prefix_via_recompute(self):
         arm()
         MONITOR.sample_limit = 1 << 10
         try:
             rng = np.random.default_rng(42)
             xs = rng.standard_normal(5_000)
-            plan = make_plan("comp-neumaier", 5_000, 1e-14)
+            plan = make_plan("comp-pairwise", 5_000, 1e-14)
             seen = {}
 
             def recompute(sample):
@@ -143,7 +167,7 @@ class TestObservePlanned:
 
     def test_empty_batch_skipped(self):
         arm()
-        plan = make_plan("comp-neumaier", 0, 1e-15)
+        plan = make_plan("comp-pairwise", 0, 1e-15)
         assert MONITOR.observe_planned(np.array([]), 0.0, plan) is None
 
 
@@ -157,11 +181,11 @@ class TestJournalOnlyAudit:
 
         journal.enable()
         xs = np.ones(10)
-        plan = make_plan("comp-neumaier", 10, 1e-15)
+        plan = make_plan("comp-pairwise", 10, 1e-15)
         record = MONITOR.observe_planned(xs, 10.0, plan)
         assert record is not None and not record["breached"]
         (event,) = journal.JOURNAL.events(event="bound.check")
-        assert event["engine"] == "comp-neumaier"
+        assert event["engine"] == "comp-pairwise"
         assert event["margin"] == record["margin"]
         assert not event["breached"]
         assert REGISTRY.collect(prefix="planner") == []
@@ -171,7 +195,7 @@ class TestJournalOnlyAudit:
 
         journal.enable()
         xs = np.ones(10)
-        plan = make_plan("comp-neumaier", 10, 1e-30)
+        plan = make_plan("comp-pairwise", 10, 1e-30)
         record = MONITOR.observe_planned(xs, 10.5, plan)
         assert record["breached"]
         (event,) = journal.JOURNAL.events(event="bound.check")
@@ -184,7 +208,7 @@ class TestJournalOnlyAudit:
     def test_all_gates_off_is_noop(self):
         from repro.observability.journal import JOURNAL
 
-        plan = make_plan("comp-neumaier", 10, 1e-15)
+        plan = make_plan("comp-pairwise", 10, 1e-15)
         assert MONITOR.observe_planned(np.ones(10), 10.0, plan) is None
         assert JOURNAL.stats() == {}
 

@@ -1,11 +1,11 @@
-"""Compensated tiers across the parallel substrates.
+"""The compensated tier across the parallel substrates.
 
 The merge algebra travels: ``CompPartial`` pickles through the procs
 pool, packs through the simmpi wire codec, and rank-order-combines on
 threads — and on every substrate the global result stays inside the
 tier's advertised bound with run-to-run determinism for a fixed
 partition.  Bit-identity across *different* substrates or PE counts is
-deliberately NOT asserted (the tiers carry no such contract).
+deliberately NOT asserted (the tier carries no such contract).
 """
 
 from __future__ import annotations
@@ -24,11 +24,7 @@ from repro.parallel.simmpi.datatypes import (
     datatype_for_method,
 )
 
-MODELS = {
-    "comp-pairwise": "pairwise",
-    "comp-kahan": "compensated",
-    "comp-neumaier": "compensated",
-}
+MODELS = {"comp-pairwise": "pairwise"}
 
 SUBSTRATES = ("serial", "threads", "procs", "mpi", "mpi-scatter", "phi")
 
@@ -52,16 +48,8 @@ class TestAdapter:
         # registry (the CLI maps --engine pairwise -> adapter_name).
         from repro.core import engines
 
-        for alias, canonical in (
-            ("pairwise", "comp-pairwise"),
-            ("neumaier", "comp-neumaier"),
-        ):
-            assert engines.get(alias).adapter_name == canonical
-            assert make_method(canonical).name == canonical
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown compensated kernel"):
-            CompensatedMethod(kernel="magic")
+        assert engines.get("pairwise").adapter_name == "comp-pairwise"
+        assert make_method("comp-pairwise").name == "comp-pairwise"
 
     def test_combine_rewraps_plain_tuples(self):
         # Wire partials may arrive as bare tuples; combine must accept
@@ -89,15 +77,15 @@ class TestGlobalSum:
     @pytest.mark.parametrize("substrate", ("threads", "mpi", "procs"))
     def test_fixed_partition_determinism(self, substrate):
         xs = make_data(40_000, seed=10)
-        a = global_sum(xs, method="comp-neumaier", substrate=substrate,
+        a = global_sum(xs, method="comp-pairwise", substrate=substrate,
                        pes=4)
-        b = global_sum(xs, method="comp-neumaier", substrate=substrate,
+        b = global_sum(xs, method="comp-pairwise", substrate=substrate,
                        pes=4)
         assert a.value == b.value  # bit-identical, run to run
 
     def test_gpu_refuses_compensated(self):
         with pytest.raises(ValueError, match="substrate 'gpu' has no"):
-            global_sum(make_data(256), method="comp-neumaier",
+            global_sum(make_data(256), method="comp-pairwise",
                        substrate="gpu", pes=4)
 
 
